@@ -41,7 +41,7 @@ void BM_MapMatchWorkers(benchmark::State &state) {
   int workers = static_cast<int>(state.range(0));
   for (auto _ : state) {
     auto out = er::execute_dfg(*setup.module, setup.registry, setup.inputs,
-                               workers);
+                               {.workers = workers});
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * 2000);
@@ -62,7 +62,8 @@ int main(int argc, char **argv) {
   everest::support::Table table({"workers", "identical to w=1",
                                  "streaming accuracy"});
   auto baseline =
-      er::execute_dfg(*setup.module, setup.registry, setup.inputs, 1);
+      er::execute_dfg(*setup.module, setup.registry, setup.inputs,
+                      {.workers = 1});
   if (!baseline) {
     std::fprintf(stderr, "execution failed: %s\n",
                  baseline.error().message.c_str());
@@ -76,7 +77,8 @@ int main(int argc, char **argv) {
   bool all_identical = true;
   for (int workers : {1, 2, 4, 8, 16}) {
     auto out =
-        er::execute_dfg(*setup.module, setup.registry, setup.inputs, workers);
+        er::execute_dfg(*setup.module, setup.registry, setup.inputs,
+                        {.workers = workers});
     bool same = out.has_value() && out->at("best") == baseline->at("best");
     all_identical = all_identical && same;
     char a[32];

@@ -23,7 +23,6 @@
 #include "ir/pass.hpp"
 #include "sdk/basecamp.hpp"
 #include "sdk/compile_cache.hpp"
-#include "support/thread_pool.hpp"
 #include "frontend/cfdlang_parser.hpp"
 #include "frontend/condrust_parser.hpp"
 #include "frontend/ekl_parser.hpp"
@@ -103,7 +102,7 @@ DriverRun run_driver(const everest::ir::Module &teil,
 
 /// A synthetic TeIL module of `num_funcs` independent funcs, each an
 /// arithmetic chain salted with CSE/DCE fodder — the unit of work the
-/// func-anchored pass pipeline shards across the thread pool.
+/// func-anchored pass pipeline runs (and caches) once per func.
 everest::ir::Module build_pass_module(int num_funcs, int ops_per_func) {
   everest::ir::Module m;
   for (int f = 0; f < num_funcs; ++f) {
@@ -178,9 +177,8 @@ everest::ir::Module generic_clone_module(const everest::ir::Module &module) {
   return copy;
 }
 
-/// Canonicalize-as-a-func-pass pipeline over `m`; optional pool and cache.
+/// Canonicalize-as-a-func-pass pipeline over `m`; optional per-pass cache.
 everest::support::Status run_pass_pipeline(everest::ir::Module &m,
-                                           everest::support::ThreadPool *pool,
                                            everest::ir::PassCache *cache) {
   everest::ir::Context pctx;
   everest::ir::PassManager pm(pctx);
@@ -188,7 +186,6 @@ everest::support::Status run_pass_pipeline(everest::ir::Module &m,
                    [](everest::ir::Operation &func, everest::ir::Context &) {
                      return et::canonicalize_func_checked(func);
                    });
-  if (pool != nullptr) pm.set_thread_pool(pool);
   if (cache != nullptr) pm.set_pass_cache(cache);
   return pm.run(m);
 }
@@ -407,17 +404,17 @@ output r
   out.close();
   std::printf("wrote BENCH_rewrite.json\n");
 
-  // ---- bench_compile: parallel pass pipeline + incremental compile cache --
+  // ---- bench_compile: pass pipeline + incremental compile cache ----------
   //
   // Three measurements over the same module set, each self-checked for byte
   // identity against the serial cold compile before any speedup is reported:
-  //   (a) the func-anchored pass pipeline, serial vs ThreadPool-sharded and
-  //       cold vs warm per-pass cache;
+  //   (a) the func-anchored pass pipeline, uncached and cold vs warm
+  //       per-pass cache;
   //   (b) end-to-end compile_many, serial vs parallel workers and cold vs
   //       incremental (content + per-pass cache tiers);
   //   (c) the one-kernel-edit story: with warm caches, editing one kernel's
   //       source re-runs only that kernel — proven by the cache counters.
-  std::printf("\n== bench_compile: arena IR + parallel passes + cache ==\n\n");
+  std::printf("\n== bench_compile: arena IR + pass pipeline + cache ==\n\n");
   auto cjson = everest::support::Json::object();
   cjson.set("bench", "compile");
 
@@ -500,35 +497,27 @@ output r
     std::printf("clone heap traffic: alloc counter stubbed (sanitizer "
                 "build), gate skipped\n");
 
-  everest::support::ThreadPool pass_pool(4);
-  double pass_serial_ms = 0.0, pass_parallel_ms = 0.0;
+  double pass_serial_ms = 0.0;
   double pass_cold_ms = 0.0, pass_warm_ms = 0.0;
-  std::string pass_serial_text, pass_parallel_text, pass_warm_text;
+  std::string pass_serial_text, pass_warm_text;
   bool pass_ok = true;
   for (int r = 0; r < kReps; ++r) {
     everest::ir::Module m = everest::ir::clone_module(pass_ref);
     double ms = wall_ms([&] {
-      pass_ok = pass_ok && run_pass_pipeline(m, nullptr, nullptr).is_ok();
+      pass_ok = pass_ok && run_pass_pipeline(m, nullptr).is_ok();
     });
     if (r == 0 || ms < pass_serial_ms) pass_serial_ms = ms;
     if (r == 0) pass_serial_text = m.str();
 
-    everest::ir::Module p = everest::ir::clone_module(pass_ref);
-    ms = wall_ms([&] {
-      pass_ok = pass_ok && run_pass_pipeline(p, &pass_pool, nullptr).is_ok();
-    });
-    if (r == 0 || ms < pass_parallel_ms) pass_parallel_ms = ms;
-    if (r == 0) pass_parallel_text = p.str();
-
     everest::sdk::PassResultCache prc;
     everest::ir::Module cold = everest::ir::clone_module(pass_ref);
     ms = wall_ms([&] {
-      pass_ok = pass_ok && run_pass_pipeline(cold, nullptr, &prc).is_ok();
+      pass_ok = pass_ok && run_pass_pipeline(cold, &prc).is_ok();
     });
     if (r == 0 || ms < pass_cold_ms) pass_cold_ms = ms;
     everest::ir::Module warm = everest::ir::clone_module(pass_ref);
     ms = wall_ms([&] {
-      pass_ok = pass_ok && run_pass_pipeline(warm, nullptr, &prc).is_ok();
+      pass_ok = pass_ok && run_pass_pipeline(warm, &prc).is_ok();
     });
     if (r == 0 || ms < pass_warm_ms) pass_warm_ms = ms;
     if (r == 0) {
@@ -536,26 +525,21 @@ output r
       pass_ok = pass_ok && prc.hits() == kFuncs;  // every func replayed
     }
   }
-  bool pass_identical = pass_serial_text == pass_parallel_text &&
-                        pass_serial_text == pass_warm_text;
+  bool pass_identical = pass_serial_text == pass_warm_text;
   {
     auto p = everest::support::Json::object();
     p.set("funcs", static_cast<std::int64_t>(kFuncs));
     p.set("serial_ms", pass_serial_ms);
-    p.set("parallel_ms", pass_parallel_ms);
     p.set("cache_cold_ms", pass_cold_ms);
     p.set("cache_warm_ms", pass_warm_ms);
-    p.set("parallel_speedup",
-          pass_parallel_ms > 0.0 ? pass_serial_ms / pass_parallel_ms : 0.0);
     p.set("warm_speedup",
           pass_warm_ms > 0.0 ? pass_cold_ms / pass_warm_ms : 0.0);
     p.set("byte_identical", pass_identical);
     cjson.set("passes", std::move(p));
   }
-  std::printf("passes (%d funcs): serial %.2fms, parallel %.2fms, cache cold "
-              "%.2fms -> warm %.2fms, %s\n",
-              kFuncs, pass_serial_ms, pass_parallel_ms, pass_cold_ms,
-              pass_warm_ms,
+  std::printf("passes (%d funcs): uncached %.2fms, cache cold %.2fms -> "
+              "warm %.2fms, %s\n",
+              kFuncs, pass_serial_ms, pass_cold_ms, pass_warm_ms,
               pass_identical ? "byte-identical" : "DIVERGED");
 
   // (b) End-to-end compile_many over the kernel set.

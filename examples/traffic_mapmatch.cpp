@@ -41,8 +41,8 @@ int main() {
   std::map<std::string, er::Stream> inputs;
   inputs["points"] = tr::trace_to_stream(trace);
 
-  auto seq = er::execute_dfg(*module.value(), registry, inputs, 1);
-  auto par = er::execute_dfg(*module.value(), registry, inputs, 8);
+  auto seq = er::execute_dfg(*module.value(), registry, inputs, {.workers = 1});
+  auto par = er::execute_dfg(*module.value(), registry, inputs, {.workers = 8});
   if (!seq || !par) {
     std::fprintf(stderr, "execution failed\n");
     return 1;

@@ -308,7 +308,7 @@ Expected<BenchmarkResult> RandomAccessBenchmark::run(HpccHarness &h) {
   for (std::int64_t u = 0; u < updates; ++u)
     stream.push_back({ix(u), vv(u)});
   auto folded = runtime::execute_dfg(*fold->graph, *fold->registry,
-                                     {{"updates", stream}}, /*workers=*/2);
+                                     {{"updates", stream}}, {.workers = 2});
   if (!folded) return folded.error();
   for (std::int64_t u = 0; u < updates; ++u)
     table[static_cast<std::size_t>(ix(u))] += vv(u);

@@ -8,16 +8,16 @@
 // record (itself arena-allocated) so reset() can run them in reverse
 // construction order before recycling the slabs.
 //
-// Allocation is mutex-guarded: func-scoped passes run in parallel on the
-// pass manager's thread pool and create ops on the shared module arena. The
-// lock is uncontended in serial compiles and cheap relative to the per-op
-// malloc/free traffic it replaces.
+// Threading contract: one thread mutates a module's arena at a time, and any
+// number of threads may read a const module concurrently. The arena takes no
+// lock; a module is never shared while it is being built or rewritten
+// (compile_many gives each kernel its own module, and cache masters and
+// served graphs are only read once published).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -47,33 +47,29 @@ public:
 
   /// Raw aligned allocation. The memory stays valid until reset()/destruction.
   void *allocate(std::size_t size, std::size_t align) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return allocate_locked(size, align);
+    if (size == 0) size = 1;
+    if (!slabs_.empty()) {
+      Slab &top = slabs_.back();
+      std::size_t at = aligned_offset(top, align);
+      if (at + size <= top.cap) return bump(top, at, size);
+    }
+    std::size_t cap = slab_bytes_;
+    if (size + align > cap) cap = size + align;
+    Slab slab;
+    slab.data = std::make_unique<unsigned char[]>(cap);
+    slab.cap = cap;
+    slabs_.push_back(std::move(slab));
+    stats_.bytes_reserved += cap;
+    stats_.slabs = slabs_.size();
+    Slab &top = slabs_.back();
+    return bump(top, aligned_offset(top, align), size);
   }
 
   /// Constructs a T in the arena. Non-trivially-destructible types get a
   /// destructor record so reset() can tear them down in reverse order.
   template <typename T, typename... Args>
   T *create(Args &&...args) {
-    void *mem = nullptr;
-    DtorRecord *record = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      mem = allocate_locked(sizeof(T), alignof(T));
-      if constexpr (!std::is_trivially_destructible_v<T>) {
-        record = static_cast<DtorRecord *>(
-            allocate_locked(sizeof(DtorRecord), alignof(DtorRecord)));
-      }
-    }
-    T *obj = new (mem) T(std::forward<Args>(args)...);
-    if constexpr (!std::is_trivially_destructible_v<T>) {
-      record->object = obj;
-      record->dtor = [](void *p) { static_cast<T *>(p)->~T(); };
-      std::lock_guard<std::mutex> lock(mu_);
-      record->prev = dtors_;
-      dtors_ = record;
-    }
-    return obj;
+    return create_with_trailing<T>(0, std::forward<Args>(args)...);
   }
 
   /// Constructs a T with `trailing_bytes` of uninitialized storage appended
@@ -84,21 +80,15 @@ public:
   /// T itself (static_asserted at the call sites).
   template <typename T, typename... Args>
   T *create_with_trailing(std::size_t trailing_bytes, Args &&...args) {
-    void *mem = nullptr;
+    void *mem = allocate(sizeof(T) + trailing_bytes, alignof(T));
     DtorRecord *record = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      mem = allocate_locked(sizeof(T) + trailing_bytes, alignof(T));
-      if constexpr (!std::is_trivially_destructible_v<T>) {
-        record = static_cast<DtorRecord *>(
-            allocate_locked(sizeof(DtorRecord), alignof(DtorRecord)));
-      }
-    }
+    if constexpr (!std::is_trivially_destructible_v<T>)
+      record = static_cast<DtorRecord *>(
+          allocate(sizeof(DtorRecord), alignof(DtorRecord)));
     T *obj = new (mem) T(std::forward<Args>(args)...);
     if constexpr (!std::is_trivially_destructible_v<T>) {
       record->object = obj;
       record->dtor = [](void *p) { static_cast<T *>(p)->~T(); };
-      std::lock_guard<std::mutex> lock(mu_);
       record->prev = dtors_;
       dtors_ = record;
     }
@@ -116,17 +106,13 @@ public:
   }
 
   /// Accounts `count` freshly allocated use-list slots (Stats::use_nodes).
-  void note_use_nodes(std::size_t count) {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.use_nodes += count;
-  }
+  void note_use_nodes(std::size_t count) { stats_.use_nodes += count; }
 
   /// Destroys every object (reverse construction order) and recycles the
   /// slabs. Every pointer previously handed out — including tombstoned
   /// ops — is invalid afterwards.
   void reset() {
     destroy_objects();
-    std::lock_guard<std::mutex> lock(mu_);
     if (slabs_.size() > 1) slabs_.resize(1);
     if (!slabs_.empty()) slabs_.front().used = 0;
     stats_.bytes_used = 0;
@@ -137,10 +123,7 @@ public:
     ++stats_.resets;
   }
 
-  [[nodiscard]] Stats stats() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
-  }
+  [[nodiscard]] Stats stats() const { return stats_; }
 
 private:
   static constexpr std::size_t kDefaultSlabBytes = 64 * 1024;
@@ -158,45 +141,19 @@ private:
     DtorRecord *prev = nullptr;
   };
 
-  void *allocate_locked(std::size_t size, std::size_t align) {
-    if (size == 0) size = 1;
-    if (!slabs_.empty()) {
-      Slab &top = slabs_.back();
-      std::size_t at = aligned_offset(top, align);
-      if (at + size <= top.cap) {
-        top.used = at + size;
-        stats_.bytes_used += size;
-        if (stats_.bytes_used > stats_.high_water)
-          stats_.high_water = stats_.bytes_used;
-        ++stats_.allocations;
-        return top.data.get() + at;
-      }
-    }
-    std::size_t cap = slab_bytes_;
-    if (size + align > cap) cap = size + align;
-    Slab slab;
-    slab.data = std::make_unique<unsigned char[]>(cap);
-    slab.cap = cap;
-    slabs_.push_back(std::move(slab));
-    stats_.bytes_reserved += cap;
-    stats_.slabs = slabs_.size();
-    Slab &top = slabs_.back();
-    std::size_t at = aligned_offset(top, align);
-    top.used = at + size;
+  /// Hands out `size` bytes at offset `at` of `slab` (the top slab).
+  void *bump(Slab &slab, std::size_t at, std::size_t size) {
+    slab.used = at + size;
     stats_.bytes_used += size;
     if (stats_.bytes_used > stats_.high_water)
       stats_.high_water = stats_.bytes_used;
     ++stats_.allocations;
-    return top.data.get() + at;
+    return slab.data.get() + at;
   }
 
   void destroy_objects() {
-    DtorRecord *record = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      record = dtors_;
-      dtors_ = nullptr;
-    }
+    DtorRecord *record = dtors_;
+    dtors_ = nullptr;
     while (record != nullptr) {
       record->dtor(record->object);
       record = record->prev;
@@ -216,7 +173,6 @@ private:
     return align_up(base + slab.used, align) - base;
   }
 
-  mutable std::mutex mu_;
   std::vector<Slab> slabs_;
   DtorRecord *dtors_ = nullptr;
   Stats stats_;

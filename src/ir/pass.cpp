@@ -34,44 +34,24 @@ support::Status PassManager::run_func_pass(Pass &pass, Module &module) {
   funcs.reserve(module.body().size());
   for (Operation &op : module.body()) funcs.push_back(&op);
 
-  // Serial cache phase: fingerprint each func's pre-pass text, splice in
-  // cached post-pass clones on hits, and collect the misses.
-  std::vector<Operation *> pending;
-  std::vector<std::uint64_t> pending_keys;
-  if (pass_cache_ != nullptr) {
-    for (Operation *func : funcs) {
-      std::uint64_t key = pass_fingerprint(pass.name(), func->str());
+  // One func at a time on the caller's thread: a hit splices the cached
+  // post-pass clone in; a miss runs the pass and memoizes the result under
+  // the pre-pass fingerprint.
+  for (Operation *func : funcs) {
+    std::uint64_t key = 0;
+    if (pass_cache_ != nullptr) {
+      key = pass_fingerprint(pass.name(), func->str());
       if (const Operation *cached = pass_cache_->lookup(key)) {
         ++cache_stats_.hits;
         Block &body = module.body();
         clone_op_into(*cached, body, func);
         body.erase(func);
-      } else {
-        ++cache_stats_.misses;
-        pending.push_back(func);
-        pending_keys.push_back(key);
+        continue;
       }
+      ++cache_stats_.misses;
     }
-  } else {
-    pending = funcs;
-  }
-
-  // Parallel phase: run the pass on every miss. Each invocation only touches
-  // IR nested under its func; creation goes through the mutex-guarded module
-  // arena, and results merge in index order, so the output is byte-identical
-  // to the serial run.
-  std::vector<support::Status> statuses = support::parallel_indexed(
-      pool_, pending.size(), [&](std::size_t i) -> support::Status {
-        return pass.run_on_func(*pending[i], ctx_);
-      });
-  for (const auto &status : statuses) {
-    if (!status.is_ok()) return status;
-  }
-
-  // Serial store phase: memoize post-pass forms under the pre-pass keys.
-  if (pass_cache_ != nullptr) {
-    for (std::size_t i = 0; i < pending.size(); ++i)
-      pass_cache_->store(pending_keys[i], *pending[i]);
+    if (auto s = pass.run_on_func(*func, ctx_); !s.is_ok()) return s;
+    if (pass_cache_ != nullptr) pass_cache_->store(key, *func);
   }
   return support::Status::ok();
 }

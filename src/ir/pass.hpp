@@ -5,12 +5,11 @@
 // timing (the Fig. 5 bench reports these timings per lowering path).
 //
 // Anchoring (paper §V-B; MLIR-lineage pass managers work the same way):
-//  - Module-scoped passes see the whole module and run serially.
-//  - Func-scoped passes run once per top-level op of the module body and may
-//    only mutate IR nested under that op. The pass manager fans them out on
-//    a support::ThreadPool; because each invocation is confined to its own
-//    func and ops are created on the (mutex-guarded) module arena, the
-//    parallel run is byte-identical to the serial one.
+//  - Module-scoped passes see the whole module.
+//  - Func-scoped passes run once per top-level op of the module body, in
+//    module order on the caller's thread, and may only mutate IR nested
+//    under that op. The scoping is what the per-pass cache keys on;
+//    parallelism lives one level up, across modules (sdk compile_many).
 //
 // Func-scoped passes can additionally be memoized through a PassCache: the
 // pre-pass func text is fingerprinted per pass, and on a hit the cached
@@ -30,7 +29,6 @@
 #include "ir/ir.hpp"
 #include "obs/trace.hpp"
 #include "support/expected.hpp"
-#include "support/thread_pool.hpp"
 
 namespace everest::ir {
 
@@ -51,8 +49,7 @@ public:
 
   /// Module-anchored entry point.
   virtual support::Status run(Module &module, Context &ctx);
-  /// Func-anchored entry point. Must only mutate IR nested under `func`
-  /// (the pass manager may invoke it from worker threads).
+  /// Func-anchored entry point. Must only mutate IR nested under `func`.
   virtual support::Status run_on_func(Operation &func, Context &ctx);
 
 private:
@@ -98,10 +95,9 @@ struct PassTiming {
 
 /// Incremental memo for func-anchored passes, keyed by
 /// `pass_fingerprint(pass name, pre-pass func text)`. Implementations must
-/// be thread-compatible with the pass manager's serial lookup/store phases
-/// and safe to share across pass managers (sdk::CompileCache provides the
-/// production implementation; it locks internally). A returned op pointer
-/// stays valid until the next `store`/eviction on the same cache.
+/// be safe to share across pass managers and threads (sdk::CompileCache
+/// provides the production implementation; it locks internally). A returned
+/// op pointer stays valid until the next `store`/eviction on the same cache.
 class PassCache {
 public:
   virtual ~PassCache() = default;
@@ -142,10 +138,6 @@ public:
   /// none is attached; spans are skipped when neither exists.
   void attach_recorder(obs::TraceRecorder *recorder) { recorder_ = recorder; }
 
-  /// Fans func-anchored passes out across `pool` (nullptr or a one-worker
-  /// pool runs them inline). Output is byte-identical either way.
-  void set_thread_pool(support::ThreadPool *pool) { pool_ = pool; }
-
   /// Attaches the per-pass incremental cache used for func-anchored passes.
   void set_pass_cache(PassCache *cache) { pass_cache_ = cache; }
 
@@ -170,7 +162,6 @@ private:
   Context &ctx_;
   bool verify_each_;
   obs::TraceRecorder *recorder_ = nullptr;
-  support::ThreadPool *pool_ = nullptr;
   PassCache *pass_cache_ = nullptr;
   std::vector<std::unique_ptr<Pass>> passes_;
   std::vector<PassTiming> timings_;

@@ -143,8 +143,8 @@ RewriteStats apply_patterns_greedily(
 
 /// Same, scoped to the ops nested under `root` (the root itself is not
 /// matched, mirroring how the module form excludes the module op). This is
-/// the form func-scoped passes use: multiple roots of one module can be
-/// rewritten concurrently as long as the rewrites stay inside their root.
+/// the form func-scoped passes use. Like every mutation of a module, it must
+/// not run concurrently with another on the same module (see ir/arena.hpp).
 RewriteStats apply_patterns_greedily(
     Operation &root,
     const std::vector<std::shared_ptr<RewritePattern>> &patterns,

@@ -117,9 +117,10 @@ Expected<std::map<std::string, Stream>> execute_dfg(
       break;
     }
   }
-  if (!graph) return Error::make("dfg exec: no dfg.graph in module");
+  if (!graph)
+    return Error::invalid_argument("dfg exec: no dfg.graph in module");
   if (options.workers < 1)
-    return Error::make("dfg exec: workers must be >= 1");
+    return Error::invalid_argument("dfg exec: workers must be >= 1");
 
   std::map<const Value *, Stream> streams;
   std::map<std::string, Stream> outputs;
@@ -158,10 +159,11 @@ Expected<std::map<std::string, Stream>> execute_dfg(
     if (name == "dfg.input") {
       auto it = inputs.find(op.attr_string("name"));
       if (it == inputs.end())
-        return Error::make("dfg exec: missing input stream '" +
-                           op.attr_string("name") + "'");
+        return Error::invalid_argument("dfg exec: missing input stream '" +
+                                       op.attr_string("name") + "'");
       if (have_count && it->second.size() != element_count)
-        return Error::make("dfg exec: input streams must be element-aligned");
+        return Error::invalid_argument(
+            "dfg exec: input streams must be element-aligned");
       element_count = it->second.size();
       have_count = true;
       streams[op.result(0)] = it->second;
@@ -171,7 +173,8 @@ Expected<std::map<std::string, Stream>> execute_dfg(
     if (name == "dfg.output") {
       auto it = streams.find(op.operand(0));
       if (it == streams.end())
-        return Error::make("dfg exec: output of unevaluated stream");
+        return Error::invalid_argument(
+            "dfg exec: output of unevaluated stream");
       outputs[op.attr_string("name")] = it->second;
       continue;
     }
@@ -179,8 +182,8 @@ Expected<std::map<std::string, Stream>> execute_dfg(
     if (name == "dfg.node") {
       const NodeFn *fn = registry.find_node(op.attr_string("callee"));
       if (!fn)
-        return Error::make("dfg exec: no registered operator '" +
-                           op.attr_string("callee") + "'");
+        return Error::not_found("dfg exec: no registered operator '" +
+                                op.attr_string("callee") + "'");
       std::vector<const Stream *> args;
       std::size_t count = 0;
       for (std::size_t i = 0; i < op.num_operands(); ++i) {
@@ -192,8 +195,9 @@ Expected<std::map<std::string, Stream>> execute_dfg(
       // aligned lengths.
       for (const Stream *s : args) {
         if (s->size() != count && s->size() != 1)
-          return Error::make("dfg exec: stream length mismatch at node '" +
-                             op.attr_string("callee") + "'");
+          return Error::invalid_argument(
+              "dfg exec: stream length mismatch at node '" +
+              op.attr_string("callee") + "'");
       }
       std::vector<Stream> broadcast_storage;
       std::vector<const Stream *> aligned = args;
@@ -223,8 +227,8 @@ Expected<std::map<std::string, Stream>> execute_dfg(
       const NodeRegistry::Fold *fold =
           registry.find_fold(op.attr_string("callee"));
       if (!fold)
-        return Error::make("dfg exec: no registered fold '" +
-                           op.attr_string("callee") + "'");
+        return Error::not_found("dfg exec: no registered fold '" +
+                                op.attr_string("callee") + "'");
       std::vector<const Stream *> args;
       std::size_t count = 0;
       for (std::size_t i = 0; i < op.num_operands(); ++i) {
@@ -295,7 +299,7 @@ Expected<std::map<std::string, Stream>> execute_dfg(
       continue;
     }
 
-    return Error::make("dfg exec: unsupported op '" + name + "'");
+    return Error::unsupported("dfg exec: unsupported op '" + name + "'");
   }
 
   if (recorder) {
@@ -321,15 +325,6 @@ Expected<std::map<std::string, Stream>> execute_dfg(
     stats->elements_replayed = elements_replayed;
   }
   return outputs;
-}
-
-Expected<std::map<std::string, Stream>> execute_dfg(
-    const ir::Module &module, const NodeRegistry &registry,
-    const std::map<std::string, Stream> &inputs, int workers,
-    DfgRunStats *stats, obs::TraceRecorder *recorder) {
-  DfgExecOptions options;
-  options.workers = workers;
-  return execute_dfg(module, registry, inputs, options, stats, recorder);
 }
 
 }  // namespace everest::runtime

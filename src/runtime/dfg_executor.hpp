@@ -87,10 +87,10 @@ struct DfgExecOptions {
   platform::FaultInjector *faults = nullptr;
   /// Attempt budget for a faulted node invocation; exhausting it fails the
   /// run with Unavailable.
-  resil::RetryPolicy retry;
+  resil::RetryPolicy retry{};
   /// Fold checkpointing: snapshot fold state + stream cursor every
   /// `interval` elements, so a mid-fold fault replays only the tail.
-  resil::CheckpointSpec checkpoint;
+  resil::CheckpointSpec checkpoint{};
   /// Wall-clock budget per stage; a stage finishing past it fails the run
   /// with DeadlineExceeded. < 0 disables.
   double stage_deadline_us = -1.0;
@@ -104,13 +104,8 @@ struct DfgExecOptions {
 /// resilience machinery mirrors its work to resil.* counters.
 support::Expected<std::map<std::string, Stream>> execute_dfg(
     const ir::Module &module, const NodeRegistry &registry,
-    const std::map<std::string, Stream> &inputs, const DfgExecOptions &options,
-    DfgRunStats *stats = nullptr, obs::TraceRecorder *recorder = nullptr);
-
-/// Back-compatible form: `workers` only, no faults or checkpoints.
-support::Expected<std::map<std::string, Stream>> execute_dfg(
-    const ir::Module &module, const NodeRegistry &registry,
-    const std::map<std::string, Stream> &inputs, int workers = 1,
-    DfgRunStats *stats = nullptr, obs::TraceRecorder *recorder = nullptr);
+    const std::map<std::string, Stream> &inputs,
+    const DfgExecOptions &options = {}, DfgRunStats *stats = nullptr,
+    obs::TraceRecorder *recorder = nullptr);
 
 }  // namespace everest::runtime

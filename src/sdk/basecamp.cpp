@@ -406,31 +406,4 @@ Expected<double> Basecamp::deploy_and_run(platform::Device &device,
       &recorder_, "deploy");
 }
 
-Expected<std::unique_ptr<serve::Server>> Basecamp::make_server(
-    std::shared_ptr<const ir::Module> graph,
-    std::shared_ptr<const runtime::NodeRegistry> registry,
-    serve::ServerOptions options, platform::Device *device,
-    const std::string &kernel, const runtime::DfgExecOptions &exec) {
-  std::vector<std::unique_ptr<serve::Backend>> backends;
-  if (device != nullptr) {
-    auto device_compute =
-        serve::DfgBackend::create(graph, registry, exec, &recorder_);
-    if (!device_compute) {
-      return device_compute.error().with_context("basecamp make_server");
-    }
-    auto fpga = serve::DeviceBackend::create(device, kernel,
-                                             std::move(*device_compute));
-    if (!fpga) return fpga.error().with_context("basecamp make_server");
-    backends.push_back(std::move(*fpga));
-  }
-  auto host = serve::DfgBackend::create(std::move(graph), std::move(registry),
-                                        exec, &recorder_);
-  if (!host) return host.error().with_context("basecamp make_server");
-  backends.push_back(std::move(*host));
-  auto server =
-      serve::Server::create(std::move(backends), std::move(options), &recorder_);
-  if (!server) return server.error().with_context("basecamp make_server");
-  return std::move(*server);
-}
-
 }  // namespace everest::sdk

@@ -23,7 +23,6 @@
 #include "resil/policy.hpp"
 #include "sdk/compile_cache.hpp"
 #include "sdk/options.hpp"
-#include "serve/server.hpp"
 #include "support/expected.hpp"
 #include "support/thread_pool.hpp"
 #include "transforms/ekl_eval.hpp"
@@ -123,20 +122,6 @@ public:
   support::Expected<double> deploy_and_run(platform::Device &device,
                                            const CompileResult &result,
                                            const resil::ExecutionPolicy &policy);
-
-  /// Builds a multi-tenant request server over a dfg serving graph (see
-  /// serve/server.hpp). The host-CPU dfg backend is always present; when
-  /// `device` is non-null a DeviceBackend for `kernel` (which must already
-  /// be loaded on the device) is placed in front of it, so device faults
-  /// fail over to the host path. The server writes its serve.* metrics and
-  /// batch spans into this Basecamp's recorder. The returned server is not
-  /// started; call start() (and stop()/drain() per its lifecycle).
-  support::Expected<std::unique_ptr<serve::Server>> make_server(
-      std::shared_ptr<const ir::Module> graph,
-      std::shared_ptr<const runtime::NodeRegistry> registry,
-      serve::ServerOptions options = {}, platform::Device *device = nullptr,
-      const std::string &kernel = {},
-      const runtime::DfgExecOptions &exec = {});
 
 private:
   support::Expected<CompileResult> backend(

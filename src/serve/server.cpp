@@ -429,4 +429,30 @@ std::size_t Server::queue_depth() const {
   return queue_.size();
 }
 
+support::Expected<std::unique_ptr<Server>> make_server(
+    std::shared_ptr<const ir::Module> graph,
+    std::shared_ptr<const runtime::NodeRegistry> registry,
+    obs::TraceRecorder *recorder, ServerOptions options,
+    platform::Device *device, const std::string &kernel,
+    const runtime::DfgExecOptions &exec) {
+  std::vector<std::unique_ptr<Backend>> backends;
+  if (device != nullptr) {
+    auto device_compute = DfgBackend::create(graph, registry, exec, recorder);
+    if (!device_compute)
+      return device_compute.error().with_context("serve make_server");
+    auto fpga =
+        DeviceBackend::create(device, kernel, std::move(*device_compute));
+    if (!fpga) return fpga.error().with_context("serve make_server");
+    backends.push_back(std::move(*fpga));
+  }
+  auto host = DfgBackend::create(std::move(graph), std::move(registry), exec,
+                                 recorder);
+  if (!host) return host.error().with_context("serve make_server");
+  backends.push_back(std::move(*host));
+  auto server =
+      Server::create(std::move(backends), std::move(options), recorder);
+  if (!server) return server.error().with_context("serve make_server");
+  return std::move(*server);
+}
+
 }  // namespace everest::serve

@@ -162,4 +162,17 @@ private:
   std::vector<std::thread> dispatchers_;
 };
 
+/// Builds a server over a dfg serving graph. The host-CPU dfg backend is
+/// always present; when `device` is non-null a DeviceBackend for `kernel`
+/// (which must already be loaded on the device) is placed in front of it, so
+/// device faults fail over to the host path. serve.* metrics and batch spans
+/// go to `recorder` (may be null). The returned server is not started; call
+/// start() (and stop()/drain() per its lifecycle).
+support::Expected<std::unique_ptr<Server>> make_server(
+    std::shared_ptr<const ir::Module> graph,
+    std::shared_ptr<const runtime::NodeRegistry> registry,
+    obs::TraceRecorder *recorder, ServerOptions options = {},
+    platform::Device *device = nullptr, const std::string &kernel = {},
+    const runtime::DfgExecOptions &exec = {});
+
 }  // namespace everest::serve

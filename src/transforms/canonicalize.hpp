@@ -31,8 +31,7 @@ std::vector<std::shared_ptr<ir::RewritePattern>> canonicalize_patterns(
 std::size_t common_subexpression_elimination(ir::Module &module);
 
 /// Func-scoped CSE: same elimination, confined to the blocks nested under
-/// `root` (the op itself is untouched). Safe to run concurrently on sibling
-/// funcs of one module.
+/// `root` (the op itself is untouched).
 std::size_t common_subexpression_elimination(ir::Operation &root);
 
 /// Folds teil.broadcast(teil.broadcast(x)) into one composed broadcast.
@@ -62,9 +61,9 @@ CanonicalizeStats canonicalize(
 /// Func-scoped canonicalization: the same fold + CSE + broadcast folding +
 /// DCE fixpoint, confined to the IR nested under `func` (the func op itself
 /// is never matched or mutated). This is the body of the func-anchored
-/// "canonicalize" pass: the PassManager may run it concurrently on the
-/// top-level funcs of one module, and the per-pass cache keys its result by
-/// the func's printed text.
+/// "canonicalize" pass: the PassManager runs it once per top-level func of
+/// a module, and the per-pass cache keys its result by the func's printed
+/// text.
 CanonicalizeStats canonicalize_func(
     ir::Operation &func, std::size_t max_iterations = 8,
     ir::RewriteDriver driver = ir::RewriteDriver::Worklist);

@@ -122,7 +122,8 @@ TEST(HpccRandomAccess, FoldMatchesHostLoopForAnyWorkerCount) {
     auto graph = eh::make_randomaccess_graph(*source, table);
     ASSERT_TRUE(graph.has_value()) << graph.error().message;
     auto outputs = er::execute_dfg(*graph->graph, *graph->registry,
-                                   {{"updates", stream}}, workers);
+                                   {{"updates", stream}},
+                                   {.workers = workers});
     ASSERT_TRUE(outputs.has_value()) << outputs.error().message;
     ASSERT_EQ(outputs->at("table").size(), 1u);
     EXPECT_EQ(outputs->at("table").front(), expected)

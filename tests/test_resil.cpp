@@ -593,7 +593,7 @@ TEST_F(DfgResilienceTest, FaultedOutputsAreIdenticalForAnyWorkerCount) {
 }
 
 TEST_F(DfgResilienceTest, CheckpointedFoldMatchesTheFaultFreeRun) {
-  auto clean = er::execute_dfg(*module_, registry_, inputs_, 1);
+  auto clean = er::execute_dfg(*module_, registry_, inputs_, {.workers = 1});
   ASSERT_TRUE(clean.has_value());
 
   ep::FaultPlan plan;
@@ -639,7 +639,7 @@ TEST_F(DfgResilienceTest, CheckpointingMakesAFaultedLongFoldCompletable) {
   EXPECT_NE(bare.error().message.find("fault budget"), std::string::npos);
   auto checkpointed = run(16);
   ASSERT_TRUE(checkpointed.has_value()) << checkpointed.error().message;
-  auto clean = er::execute_dfg(*module_, registry_, inputs_, 1);
+  auto clean = er::execute_dfg(*module_, registry_, inputs_, {.workers = 1});
   ASSERT_TRUE(clean.has_value());
   EXPECT_EQ(checkpointed->at("total"), clean->at("total"));
 }

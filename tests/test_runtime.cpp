@@ -477,9 +477,9 @@ fn pipe(xs: Stream<f64>, ys: Stream<f64>) -> Stream<f64> {
     inputs["xs"].push_back({static_cast<double>(i)});
     inputs["ys"].push_back({static_cast<double>(i) * 0.5});
   }
-  auto r1 = er::execute_dfg(**m, registry_, inputs, 1);
-  auto r4 = er::execute_dfg(**m, registry_, inputs, 4);
-  auto r16 = er::execute_dfg(**m, registry_, inputs, 16);
+  auto r1 = er::execute_dfg(**m, registry_, inputs, {.workers = 1});
+  auto r4 = er::execute_dfg(**m, registry_, inputs, {.workers = 4});
+  auto r16 = er::execute_dfg(**m, registry_, inputs, {.workers = 16});
   ASSERT_TRUE(r1.has_value());
   ASSERT_TRUE(r4.has_value());
   ASSERT_TRUE(r16.has_value());
@@ -498,14 +498,33 @@ fn pipe(xs: Stream<f64>) -> Stream<f64> {
   std::map<std::string, er::Stream> inputs;
   inputs["xs"] = {{1.0}, {2.0}};
   er::DfgRunStats stats;
-  auto out = er::execute_dfg(**m, registry_, inputs, 2, &stats);
+  auto out = er::execute_dfg(**m, registry_, inputs, {.workers = 2}, &stats);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(stats.node_invocations, 2u);
   EXPECT_EQ(stats.elements, 2u);
 
-  // Missing input stream.
-  EXPECT_FALSE(er::execute_dfg(**m, registry_, {}, 1).has_value());
-  // Unregistered callee.
+  using everest::support::ErrorCode;
+  auto code_of = [&](const std::shared_ptr<everest::ir::Module> &module,
+                     const std::map<std::string, er::Stream> &in,
+                     int workers = 1) {
+    auto r = er::execute_dfg(*module, registry_, in, {.workers = workers});
+    EXPECT_FALSE(r.has_value());
+    return r ? ErrorCode::Internal : r.error().code_enum();
+  };
+  // Missing input stream, bad worker count.
+  EXPECT_EQ(code_of(*m, {}), ErrorCode::InvalidArgument);
+  EXPECT_EQ(code_of(*m, inputs, 0), ErrorCode::InvalidArgument);
+  // Misaligned input streams.
+  auto pair = ef::parse_condrust(R"(
+fn pipe(xs: Stream<f64>, ys: Stream<f64>) -> Stream<f64> {
+    let s = add_pair(xs, ys);
+    return s;
+}
+)");
+  ASSERT_TRUE(pair.has_value());
+  EXPECT_EQ(code_of(*pair, {{"xs", {{1.0}, {2.0}}}, {"ys", {{1.0}}}}),
+            ErrorCode::InvalidArgument);
+  // Unregistered node and fold callees.
   auto m2 = ef::parse_condrust(R"(
 fn pipe(xs: Stream<f64>) -> Stream<f64> {
     let d = nonexistent(xs);
@@ -513,7 +532,21 @@ fn pipe(xs: Stream<f64>) -> Stream<f64> {
 }
 )");
   ASSERT_TRUE(m2.has_value());
-  EXPECT_FALSE(er::execute_dfg(**m2, registry_, inputs, 1).has_value());
+  EXPECT_EQ(code_of(*m2, inputs), ErrorCode::NotFound);
+  auto m3 = ef::parse_condrust(R"(
+fn pipe(xs: Stream<f64>) -> Stream<f64> {
+    let t = fold nonexistent_fold(xs);
+    return t;
+}
+)");
+  ASSERT_TRUE(m3.has_value());
+  EXPECT_EQ(code_of(*m3, inputs), ErrorCode::NotFound);
+  // An op the executor does not know.
+  everest::ir::Module &mod = **m;
+  everest::ir::Operation *graph = mod.find_all("dfg.graph").at(0);
+  graph->region(0).front().attach(everest::ir::Operation::create(
+      mod.arena(), everest::ir::Symbol("test.unknown"), {}, {}, {}, 0));
+  EXPECT_EQ(code_of(*m, inputs), ErrorCode::Unsupported);
 }
 
 // ----------------------------------------------------------- virtualization

@@ -315,7 +315,7 @@ TEST(Server, BatchedOutputsAreByteIdenticalAcrossConfigs) {
   for (int i = 0; i < kRequests; ++i) {
     std::map<std::string, er::Stream> single;
     single["xs"] = {{static_cast<double>(i), i * 0.25, -i * 3.5}};
-    auto direct = er::execute_dfg(*graph, *registry, single, 1);
+    auto direct = er::execute_dfg(*graph, *registry, single, {.workers = 1});
     ASSERT_TRUE(direct.has_value());
     reference.push_back(direct->at("biased").at(0));
   }
@@ -650,8 +650,9 @@ TEST(Basecamp, MakeServerServesWithDeviceAndRecordsMetrics) {
   es::ServerOptions options;
   options.batch.max_batch = 4;
   options.dispatchers = 2;
-  auto server = basecamp.make_server(pipe_graph(), pipe_registry(), options,
-                                     &device, "serve_pipe");
+  auto server = es::make_server(pipe_graph(), pipe_registry(),
+                                &basecamp.recorder(), options, &device,
+                                "serve_pipe");
   ASSERT_TRUE(server.has_value()) << server.error().message;
   ASSERT_EQ((*server)->backends().size(), 2u);
   EXPECT_EQ((*server)->backends()[0]->name(), "alveo-u55c");
@@ -708,7 +709,8 @@ fn agg(xs: Stream<f64>) -> Stream<f64> {
                           });
   es::ServerOptions options;
   options.batch.max_batch = 4;
-  auto server = basecamp.make_server(*parsed, registry, options);
+  auto server = es::make_server(*parsed, registry, &basecamp.recorder(),
+                                options);
   ASSERT_TRUE(server.has_value()) << server.error().message;
   (*server)->start();
   std::vector<std::future<es::Response>> futures;

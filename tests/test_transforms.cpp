@@ -663,7 +663,7 @@ fn pipe(a: Stream<f64>, b: Stream<f64>) -> Stream<f64> {
       streams["a"].push_back({a(i)});
       streams["b"].push_back({b(i)});
     }
-    auto dfg_out = er::execute_dfg(**graph, registry, streams, /*workers=*/4);
+    auto dfg_out = er::execute_dfg(**graph, registry, streams, {.workers = 4});
     ASSERT_TRUE(dfg_out.has_value()) << dfg_out.error().message;
     ASSERT_EQ(dfg_out->at("c").size(), static_cast<std::size_t>(n));
 

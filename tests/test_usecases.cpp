@@ -81,8 +81,8 @@ TEST(Traffic, DfgPipelineMatchesAndIsDeterministic) {
   std::map<std::string, er::Stream> inputs;
   inputs["points"] = tr::trace_to_stream(trace);
 
-  auto r1 = er::execute_dfg(**m, registry, inputs, 1);
-  auto r8 = er::execute_dfg(**m, registry, inputs, 8);
+  auto r1 = er::execute_dfg(**m, registry, inputs, {.workers = 1});
+  auto r8 = er::execute_dfg(**m, registry, inputs, {.workers = 8});
   ASSERT_TRUE(r1.has_value()) << r1.error().message;
   ASSERT_TRUE(r8.has_value());
   EXPECT_EQ(r1->at("best"), r8->at("best"));  // ConDRust determinism

@@ -330,8 +330,8 @@ int cmd_serve(Basecamp &basecamp, int argc, char **argv) {
     }
   }
 
-  auto server = basecamp.make_server(*graph, registry, options, device.get(),
-                                     "serve_pipe");
+  auto server = es::make_server(*graph, registry, &basecamp.recorder(), options,
+                                device.get(), "serve_pipe");
   if (!server) {
     std::fprintf(stderr, "basecamp serve: [%s] %s\n",
                  server.error().code_name(), server.error().message.c_str());
@@ -364,7 +364,8 @@ int cmd_serve(Basecamp &basecamp, int argc, char **argv) {
     ++completed;
     std::map<std::string, everest::runtime::Stream> single;
     single["xs"] = {workload[index].inputs.at("xs")};
-    auto direct = everest::runtime::execute_dfg(**graph, *registry, single, 1);
+    auto direct = everest::runtime::execute_dfg(**graph, *registry, single,
+                                                {.workers = 1});
     if (!direct) {
       ++mismatches;
       continue;
