@@ -41,10 +41,10 @@ support::Status PassManager::run_func_pass(Pass &pass, Module &module) {
     std::uint64_t key = 0;
     if (pass_cache_ != nullptr) {
       key = pass_fingerprint(pass.name(), func->str());
-      if (const Operation *cached = pass_cache_->lookup(key)) {
+      if (auto cached = pass_cache_->lookup(key)) {
         ++cache_stats_.hits;
         Block &body = module.body();
-        clone_op_into(*cached, body, func);
+        clone_op_into(cached->body().front(), body, func);
         body.erase(func);
         continue;
       }

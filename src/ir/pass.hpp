@@ -96,13 +96,15 @@ struct PassTiming {
 /// Incremental memo for func-anchored passes, keyed by
 /// `pass_fingerprint(pass name, pre-pass func text)`. Implementations must
 /// be safe to share across pass managers and threads (sdk::CompileCache
-/// provides the production implementation; it locks internally). A returned
-/// op pointer stays valid until the next `store`/eviction on the same cache.
+/// provides the production implementation; it locks internally). A hit is
+/// shared ownership of an immutable module, so it outlives any concurrent
+/// `store` or eviction and callers clone from it without holding a lock.
 class PassCache {
 public:
   virtual ~PassCache() = default;
-  /// The cached post-pass func for `key`, or nullptr on miss.
-  virtual const Operation *lookup(std::uint64_t key) = 0;
+  /// A module whose single top-level op is the cached post-pass func for
+  /// `key`, or nullptr on miss.
+  virtual std::shared_ptr<const Module> lookup(std::uint64_t key) = 0;
   /// Memoizes the post-pass func under `key` (the implementation clones).
   virtual void store(std::uint64_t key, const Operation &func) = 0;
 };

@@ -35,10 +35,25 @@ struct TraceEvent {
   std::vector<std::pair<std::string, std::string>> args;
 };
 
+/// Monotonic wall clock: microseconds since construction. The time base of
+/// every TraceRecorder, and all the serving layer needs for its deadlines.
+class Clock {
+public:
+  [[nodiscard]] double now_us() const {
+    return std::chrono::duration<double, std::micro>(
+               std::chrono::steady_clock::now() - epoch_)
+        .count();
+  }
+
+private:
+  std::chrono::steady_clock::time_point epoch_ =
+      std::chrono::steady_clock::now();
+};
+
 /// Thread-safe recorder for spans and metrics.
 class TraceRecorder {
 public:
-  TraceRecorder() : epoch_(std::chrono::steady_clock::now()) {}
+  TraceRecorder() = default;
   TraceRecorder(const TraceRecorder &) = delete;
   TraceRecorder &operator=(const TraceRecorder &) = delete;
 
@@ -84,11 +99,7 @@ public:
   void record(TraceEvent event);
 
   /// Microseconds of monotonic wall time since recorder construction.
-  [[nodiscard]] double now_us() const {
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - epoch_)
-        .count();
-  }
+  [[nodiscard]] double now_us() const { return clock_.now_us(); }
 
   /// Metrics registry: created on first use, shared by name thereafter.
   Counter &counter(const std::string &name);
@@ -110,7 +121,7 @@ public:
   void clear();
 
 private:
-  std::chrono::steady_clock::time_point epoch_;
+  Clock clock_;
   mutable std::mutex mu_;
   std::vector<TraceEvent> events_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;

@@ -1,5 +1,8 @@
 #include "resil/failover.hpp"
 
+#include <algorithm>
+#include <optional>
+
 namespace everest::resil {
 
 using support::Error;
@@ -17,17 +20,37 @@ FailoverGroup::FailoverGroup(std::vector<platform::Device *> devices,
 Expected<FailoverOutcome> FailoverGroup::run(const std::string &kernel,
                                              bool dataflow) {
   std::lock_guard<std::mutex> lock(mu_);
-  Error last = Error::unavailable("resil: failover group has no devices");
+  const std::size_t n = devices_.size();
+  if (n == 0) return Error::unavailable("resil: failover group has no devices");
   int attempts = 0;
   std::size_t start = 0;
-  if (options_.placement == FailoverOptions::Placement::RoundRobin &&
-      !devices_.empty()) {
-    start = next_start_++ % devices_.size();
-  }
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    std::size_t d = (start + i) % devices_.size();
+  if (options_.placement == FailoverOptions::Placement::RoundRobin)
+    start = next_start_++ % n;
+  // Breakers run on the group's timeline: the latest clock among its
+  // devices. A device's own clock stands still while its open breaker keeps
+  // it idle, so judged on that clock the cooldown would never elapse.
+  auto timeline_us = [&] {
+    double now = 0.0;
+    for (const platform::Device *dev : devices_)
+      now = std::max(now, dev->now_us());
+    return now;
+  };
+  std::optional<Error> last;
+  for (std::size_t i = 0; i <= n; ++i) {
+    std::size_t d = (start + i) % n;
+    if (i == n) {
+      // Every breaker is open, and with nothing launching the timeline would
+      // never move: wait out the shortest remaining cooldown on that device
+      // and launch there as its half-open probe.
+      if (last) break;
+      for (std::size_t j = 0; j < n; ++j)
+        if (breakers_[j].open_until_us() < breakers_[d].open_until_us()) d = j;
+      devices_[d]->host_wait_us(std::max(
+          0.0, breakers_[d].open_until_us() - devices_[d]->now_us()));
+      breakers_[d].allow(breakers_[d].open_until_us());  // Open -> HalfOpen
+    }
     platform::Device &dev = *devices_[d];
-    if (!breakers_[d].allow(dev.now_us())) {
+    if (!breakers_[d].allow(timeline_us())) {
       ++stats_.breaker_rejections;
       if (recorder_) recorder_->counter("resil.breaker.rejected").add(1);
       continue;
@@ -44,14 +67,14 @@ Expected<FailoverOutcome> FailoverGroup::run(const std::string &kernel,
       breakers_[d].on_success();
       // "Primary" is the device this launch tried first (ring start under
       // RoundRobin); landing anywhere else means the launch was degraded.
-      bool primary = i == 0;
+      bool primary = d == start;
       if (primary) ++stats_.primary_runs;
       else ++stats_.failover_runs;
       if (recorder_ && !primary)
         recorder_->counter("resil.failover.runs").add(1);
       return FailoverOutcome{*result, dev.spec().name, attempts, !primary};
     }
-    breakers_[d].on_failure(dev.now_us());
+    breakers_[d].on_failure(timeline_us());
     last = result.error();
     if (recorder_) recorder_->counter("resil.failover.device_exhausted").add(1);
   }
@@ -61,8 +84,8 @@ Expected<FailoverOutcome> FailoverGroup::run(const std::string &kernel,
     return FailoverOutcome{options_.host_fallback_us, "host-cpu", attempts,
                            true};
   }
-  return last.with_context("resil: kernel '" + kernel +
-                           "' failed on every device in the group");
+  return last->with_context("resil: kernel '" + kernel +
+                            "' failed on every device in the group");
 }
 
 void FailoverGroup::add_device(platform::Device *device) {
@@ -92,11 +115,6 @@ FailoverStats FailoverGroup::stats() const {
 CircuitBreaker::State FailoverGroup::breaker_state(std::size_t i) const {
   std::lock_guard<std::mutex> lock(mu_);
   return breakers_[i].state();
-}
-
-std::size_t FailoverGroup::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return devices_.size();
 }
 
 }  // namespace everest::resil

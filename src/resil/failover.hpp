@@ -56,9 +56,13 @@ struct FailoverStats {
 };
 
 /// A primary device plus ordered backups, each behind a circuit breaker.
-/// Kernels must already be loaded on every member device. Launches, stats
-/// reads, and membership changes serialize on an internal mutex, so the
-/// group may be shared by concurrent dispatcher threads.
+/// Breaker cooldowns run on the group's timeline (the latest clock among its
+/// devices), so a shed device is probed again once the others have moved
+/// time forward; when every breaker is open the group waits out the shortest
+/// cooldown and probes that device. Kernels must already be loaded on every
+/// member device. Launches, stats reads, and membership changes serialize on
+/// an internal mutex, so the group may be shared by concurrent dispatcher
+/// threads.
 class FailoverGroup {
 public:
   FailoverGroup(std::vector<platform::Device *> devices,
@@ -80,7 +84,6 @@ public:
 
   [[nodiscard]] FailoverStats stats() const;
   [[nodiscard]] CircuitBreaker::State breaker_state(std::size_t i) const;
-  [[nodiscard]] std::size_t size() const;
 
 private:
   mutable std::mutex mu_;

@@ -41,9 +41,6 @@ struct Deadline {
   [[nodiscard]] bool expired(double now_us) const {
     return enabled() && now_us > deadline_us;
   }
-  [[nodiscard]] double remaining_us(double now_us) const {
-    return enabled() ? deadline_us - now_us : -1.0;
-  }
 };
 
 /// Per-device health tracker: after `failure_threshold` consecutive
@@ -68,6 +65,8 @@ public:
 
   [[nodiscard]] State state() const { return state_; }
   [[nodiscard]] int consecutive_failures() const { return failures_; }
+  /// Clock time at which an open breaker half-opens.
+  [[nodiscard]] double open_until_us() const { return open_until_us_; }
 
 private:
   Options options_;

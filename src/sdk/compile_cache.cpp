@@ -82,7 +82,7 @@ CompileCacheEntry clone_entry(const CompileCacheEntry &entry) {
 
 // ------------------------------------------------------------ pass tier
 
-const ir::Operation *PassResultCache::lookup(std::uint64_t key) {
+std::shared_ptr<const ir::Module> PassResultCache::lookup(std::uint64_t key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end()) {
@@ -92,15 +92,15 @@ const ir::Operation *PassResultCache::lookup(std::uint64_t key) {
   }
   ++hits_;
   if (recorder_) recorder_->counter("sdk.cache.pass.hit").add(1);
-  return &it->second.body().front();
+  return it->second;
 }
 
 void PassResultCache::store(std::uint64_t key, const ir::Operation &func) {
-  ir::Module holder;
-  ir::clone_op_into(func, holder.body());
+  auto holder = std::make_shared<ir::Module>();
+  ir::clone_op_into(func, holder->body());
   std::lock_guard<std::mutex> lock(mu_);
   if (capacity_ > 0 && entries_.size() >= capacity_ && !entries_.count(key))
-    entries_.clear();  // wholesale reset keeps the lifetime contract trivial
+    entries_.clear();  // wholesale reset; handed-out holders stay alive
   entries_.insert_or_assign(key, std::move(holder));
 }
 

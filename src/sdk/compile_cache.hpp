@@ -50,13 +50,13 @@ struct CompileCacheEntry {
 
 /// Per-pass incremental tier, plugged into ir::PassManager::set_pass_cache.
 /// Keys are ir::pass_fingerprint(pass name, printed func text); values are
-/// the post-pass funcs, each held as a self-contained master module so the
-/// arena that owns the cached op lives exactly as long as the entry. A
-/// lookup hit means "this exact func already went through this exact pass":
-/// on a one-kernel edit only the edited kernel's fingerprint changes, so
-/// only its passes re-run. Thread-safe; when the entry count exceeds the
-/// capacity the tier resets wholesale (the PassManager clones hits
-/// immediately, so no returned pointer outlives the next mutation).
+/// the post-pass funcs, each held as a self-contained immutable module so
+/// the arena that owns the cached op lives as long as the entry or any
+/// handed-out hit. A lookup hit means "this exact func already went through
+/// this exact pass": on a one-kernel edit only the edited kernel's
+/// fingerprint changes, so only its passes re-run. Thread-safe; when the
+/// entry count exceeds the capacity the tier resets wholesale, which a
+/// worker still cloning from an evicted hit never notices.
 class PassResultCache : public ir::PassCache {
 public:
   explicit PassResultCache(std::size_t capacity = 1024)
@@ -65,7 +65,8 @@ public:
   PassResultCache(const PassResultCache &) = delete;
   PassResultCache &operator=(const PassResultCache &) = delete;
 
-  [[nodiscard]] const ir::Operation *lookup(std::uint64_t key) override;
+  [[nodiscard]] std::shared_ptr<const ir::Module> lookup(
+      std::uint64_t key) override;
   void store(std::uint64_t key, const ir::Operation &func) override;
 
   /// Mirrors hits/misses onto sdk.cache.pass.hit / .miss counters.
@@ -79,7 +80,8 @@ public:
 private:
   mutable std::mutex mu_;
   std::size_t capacity_;
-  std::map<std::uint64_t, ir::Module> entries_;  // each holds one func op
+  // Each holds one func op.
+  std::map<std::uint64_t, std::shared_ptr<const ir::Module>> entries_;
   obs::TraceRecorder *recorder_ = nullptr;
   std::int64_t hits_ = 0;
   std::int64_t misses_ = 0;

@@ -1,5 +1,7 @@
 #include "serve/backend.hpp"
 
+#include <algorithm>
+
 namespace everest::serve {
 
 support::Expected<std::unique_ptr<DfgBackend>> DfgBackend::create(
@@ -99,32 +101,44 @@ support::Expected<std::map<std::string, runtime::Stream>> DfgBackend::run_batch(
   return outputs;
 }
 
-support::Expected<std::unique_ptr<DeviceBackend>> DeviceBackend::create(
-    platform::Device *device, std::string kernel,
-    std::unique_ptr<DfgBackend> compute, double launch_deadline_us) {
-  if (device == nullptr) {
-    return support::Error::invalid_argument("serve: null device");
+support::Expected<std::unique_ptr<ElasticDeviceBackend>>
+ElasticDeviceBackend::create(std::string name,
+                             std::vector<platform::Device *> devices,
+                             std::string kernel,
+                             std::unique_ptr<DfgBackend> compute,
+                             resil::FailoverOptions options,
+                             obs::TraceRecorder *recorder) {
+  if (devices.empty() ||
+      std::find(devices.begin(), devices.end(), nullptr) != devices.end()) {
+    return support::Error::invalid_argument(
+        "serve: device backend '" + name + "' needs non-null devices");
   }
   if (!compute) {
     return support::Error::invalid_argument(
-        "serve: DeviceBackend needs a compute backend for functional results");
+        "serve: device backend '" + name +
+        "' needs a compute backend for functional results");
   }
-  return std::unique_ptr<DeviceBackend>(
-      new DeviceBackend(device, std::move(kernel), std::move(compute),
-                        launch_deadline_us));
+  // The replica ring exists to spread launches, and the host-CPU fallback
+  // belongs to the Server's backend chain (where it is accounted as a
+  // degraded backend), not to the launch group.
+  options.placement = resil::FailoverOptions::Placement::RoundRobin;
+  options.host_fallback_us = -1.0;
+  return std::unique_ptr<ElasticDeviceBackend>(new ElasticDeviceBackend(
+      std::move(name), std::move(devices), std::move(kernel),
+      std::move(compute), std::move(options), recorder));
 }
 
 support::Expected<std::map<std::string, runtime::Stream>>
-DeviceBackend::run_batch(const std::map<std::string, runtime::Stream> &inputs) {
-  {
-    // One simulated launch per batch: this is the amortization batching
-    // buys, and the hook where injected device faults (DMA flakes, hung
-    // kernels) surface as retryable errors.
-    std::lock_guard<std::mutex> lock(launch_mu_);
-    auto launch = device_->run(kernel_, /*dataflow=*/true, launch_deadline_us_);
-    if (!launch) {
-      return launch.error().with_context("serve: launch on " + name_);
-    }
+ElasticDeviceBackend::run_batch(
+    const std::map<std::string, runtime::Stream> &inputs) {
+  // One launch per batch: this is the amortization batching buys, and the
+  // hook where injected device faults (DMA flakes, hung kernels) surface.
+  // The error code (and hence retryability) of a failed launch is preserved
+  // so the Server's per-backend retry/breaker policy sees the real fault.
+  auto launch = group_.run(kernel_, /*dataflow=*/true);
+  if (!launch) {
+    return launch.error().with_context("serve: device backend '" + name_ +
+                                       "'");
   }
   return compute_->run_batch(inputs);
 }

@@ -3,21 +3,23 @@
 // Execution backends of the serving layer. A Backend runs one *batch* — the
 // concatenation of several requests' input records into streams — through
 // the serving graph and returns the output streams. DfgBackend is the
-// host-CPU path (the deterministic dfg executor); DeviceBackend fronts a
-// simulated FPGA device: it charges the batch launch to the device's clock
-// (amortizing one kernel launch over the whole batch, surfacing injected
-// device faults) and delegates the functional computation to an inner
-// DfgBackend. The Server fails over across its backend list in order, so
-// [DeviceBackend, DfgBackend] is "FPGA first, host CPU as the degraded
-// fallback".
+// host-CPU path (the deterministic dfg executor); ElasticDeviceBackend is
+// the one FPGA path: each batch is one simulated kernel launch (amortizing
+// launch and DMA costs over the whole batch, surfacing injected device
+// faults) placed by a resil::FailoverGroup over a set of devices — a fixed
+// card is a one-VF group, a Cluster node's hot-plugged SR-IOV VFs a larger
+// one — while an inner DfgBackend computes the functional result. The
+// Server fails over across its backend list in order, so
+// [ElasticDeviceBackend, DfgBackend] is "FPGA first, host CPU as the
+// degraded fallback".
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "platform/xrt.hpp"
+#include "resil/failover.hpp"
 #include "runtime/dfg_executor.hpp"
 #include "support/expected.hpp"
 
@@ -81,19 +83,25 @@ private:
   bool has_fold_ = false;
 };
 
-/// FPGA backend: one simulated kernel launch per batch (this is where
-/// batching pays — launch and DMA overheads amortize across the batch),
-/// functional results computed by the wrapped host backend so batched and
-/// unbatched outputs stay byte-identical. Device faults injected into the
-/// launch surface as retryable errors. The device's simulated clock is not
-/// thread-safe, so launches are serialized internally.
-class DeviceBackend final : public Backend {
+/// FPGA backend over a replica set of devices (SR-IOV virtual functions, or
+/// one fixed card). Every batch is one simulated kernel launch placed by a
+/// thread-safe resil::FailoverGroup in RoundRobin rotation (plugged capacity
+/// spreads load; injected faults fail over to the next device in ring
+/// order), then the functional result is computed by the wrapped host
+/// backend so batched, unbatched, and any-replica outputs stay
+/// byte-identical. The group never falls back to the host itself: that is
+/// the Server's backend chain, where it is accounted as degraded.
+class ElasticDeviceBackend final : public Backend {
 public:
-  /// `kernel` must already be loaded on `device`. `launch_deadline_us` is
-  /// the per-launch watchdog passed to Device::run (< 0 disables).
-  static support::Expected<std::unique_ptr<DeviceBackend>> create(
-      platform::Device *device, std::string kernel,
-      std::unique_ptr<DfgBackend> compute, double launch_deadline_us = -1.0);
+  /// `devices` must be non-empty and have `kernel` already loaded; the
+  /// caller keeps ownership of the devices. `options` carries the group's
+  /// retry budget, launch watchdog and breakers; placement and host
+  /// fallback are overridden as described above.
+  static support::Expected<std::unique_ptr<ElasticDeviceBackend>> create(
+      std::string name, std::vector<platform::Device *> devices,
+      std::string kernel, std::unique_ptr<DfgBackend> compute,
+      resil::FailoverOptions options = {},
+      obs::TraceRecorder *recorder = nullptr);
 
   [[nodiscard]] const std::string &name() const override { return name_; }
   [[nodiscard]] const std::vector<std::string> &input_names() const override {
@@ -103,20 +111,29 @@ public:
   support::Expected<std::map<std::string, runtime::Stream>> run_batch(
       const std::map<std::string, runtime::Stream> &inputs) override;
 
-private:
-  DeviceBackend(platform::Device *device, std::string kernel,
-                std::unique_ptr<DfgBackend> compute, double launch_deadline_us)
-      : device_(device), kernel_(std::move(kernel)),
-        compute_(std::move(compute)),
-        launch_deadline_us_(launch_deadline_us),
-        name_(device->spec().name) {}
+  /// VF hot-plug: grows/shrinks the replica ring. remove_replica() returns
+  /// the removed device so the owner can detach its VF; it fails rather
+  /// than empty the ring.
+  void add_replica(platform::Device *device) { group_.add_device(device); }
+  support::Expected<platform::Device *> remove_replica() {
+    return group_.remove_last_device();
+  }
 
-  platform::Device *device_;
-  std::string kernel_;
-  std::unique_ptr<DfgBackend> compute_;
-  double launch_deadline_us_;
+private:
+  ElasticDeviceBackend(std::string name,
+                       std::vector<platform::Device *> devices,
+                       std::string kernel,
+                       std::unique_ptr<DfgBackend> compute,
+                       resil::FailoverOptions options,
+                       obs::TraceRecorder *recorder)
+      : name_(std::move(name)), kernel_(std::move(kernel)),
+        group_(std::move(devices), std::move(options), recorder),
+        compute_(std::move(compute)) {}
+
   std::string name_;
-  std::mutex launch_mu_;
+  std::string kernel_;
+  resil::FailoverGroup group_;
+  std::unique_ptr<DfgBackend> compute_;
 };
 
 }  // namespace everest::serve

@@ -28,18 +28,6 @@ std::uint64_t fnv1a(const std::string &s) {
   return h;
 }
 
-resil::FailoverOptions vf_group_options(const ClusterOptions &options) {
-  resil::FailoverOptions vf = options.vf_failover;
-  // The replica ring exists to spread launches, and the host-CPU fallback
-  // belongs to the Server's backend chain (where it is accounted as a
-  // degraded backend), not to the launch group.
-  vf.placement = resil::FailoverOptions::Placement::RoundRobin;
-  vf.host_fallback_us = -1.0;
-  if (options.launch_deadline_us >= 0.0)
-    vf.deadline.deadline_us = options.launch_deadline_us;
-  return vf;
-}
-
 }  // namespace
 
 // --------------------------------------------------------------------------
@@ -77,31 +65,6 @@ std::vector<int> HashRing::replicas(const std::string &tenant,
       out.push_back(it->second);
   }
   return out;
-}
-
-// --------------------------------------------------------------------------
-// ElasticDeviceBackend
-
-ElasticDeviceBackend::ElasticDeviceBackend(
-    std::string name, std::vector<platform::Device *> devices,
-    std::string kernel, std::unique_ptr<DfgBackend> compute,
-    resil::FailoverOptions options, obs::TraceRecorder *recorder)
-    : name_(std::move(name)),
-      kernel_(std::move(kernel)),
-      group_(std::move(devices), std::move(options), recorder),
-      compute_(std::move(compute)) {}
-
-Expected<std::map<std::string, runtime::Stream>>
-ElasticDeviceBackend::run_batch(
-    const std::map<std::string, runtime::Stream> &inputs) {
-  // One launch per batch, placed round-robin over the plugged VFs; the
-  // error code (and hence retryability) of a failed launch is preserved so
-  // the Server's per-backend retry/breaker policy sees the real fault.
-  auto launch = group_.run(kernel_, /*dataflow=*/true);
-  if (!launch)
-    return launch.error().with_context("serve: elastic backend '" + name_ +
-                                       "'");
-  return compute_->run_batch(inputs);
 }
 
 // --------------------------------------------------------------------------
@@ -198,13 +161,15 @@ Expected<std::unique_ptr<Cluster>> Cluster::create(
     if (!host)
       return host.error().with_context("serve: cluster " + node->name);
 
-    auto elastic = std::make_unique<ElasticDeviceBackend>(
+    auto elastic = ElasticDeviceBackend::create(
         node->name + "-fpga", node->devices, opt.kernel, std::move(*compute),
-        vf_group_options(opt), node->recorder.get());
-    node->elastic = elastic.get();
+        opt.vf_failover, node->recorder.get());
+    if (!elastic)
+      return elastic.error().with_context("serve: cluster " + node->name);
+    node->elastic = elastic->get();
 
     std::vector<std::unique_ptr<Backend>> backends;
-    backends.push_back(std::move(elastic));
+    backends.push_back(std::move(*elastic));
     backends.push_back(std::move(*host));
     auto server = Server::create(std::move(backends), opt.server,
                                  node->recorder.get());
@@ -334,10 +299,6 @@ AutoscaleReport Cluster::autoscale() {
 
 int Cluster::primary_node(const std::string &tenant) const {
   return ring_.route(tenant);
-}
-
-std::vector<int> Cluster::route_candidates(const std::string &tenant) const {
-  return ring_.replicas(tenant, options_.replicas);
 }
 
 double Cluster::forward_cost_us(std::int64_t bytes) const {

@@ -26,7 +26,6 @@
 #include "obs/trace.hpp"
 #include "platform/device.hpp"
 #include "platform/network.hpp"
-#include "resil/failover.hpp"
 #include "serve/backend.hpp"
 #include "serve/server.hpp"
 #include "virt/virt.hpp"
@@ -47,56 +46,10 @@ public:
   /// the tenant's failover/forwarding candidates, primary first.
   [[nodiscard]] std::vector<int> replicas(const std::string &tenant,
                                           int count) const;
-  [[nodiscard]] int nodes() const { return nodes_; }
 
 private:
   int nodes_;
   std::vector<std::pair<std::uint64_t, int>> ring_;  // sorted (hash, node)
-};
-
-/// FPGA backend over an elastic replica set of SR-IOV virtual functions.
-/// Every batch is one simulated kernel launch placed by a thread-safe
-/// resil::FailoverGroup in RoundRobin rotation (plugged capacity spreads
-/// load; injected faults fail over to the next VF in ring order), then the
-/// functional result is computed by the wrapped host backend so batched,
-/// unbatched, and any-replica outputs stay byte-identical.
-class ElasticDeviceBackend final : public Backend {
-public:
-  /// `devices` are VF devices with `kernel` already loaded; the caller
-  /// (Cluster) keeps ownership of the devices themselves.
-  ElasticDeviceBackend(std::string name,
-                       std::vector<platform::Device *> devices,
-                       std::string kernel,
-                       std::unique_ptr<DfgBackend> compute,
-                       resil::FailoverOptions options,
-                       obs::TraceRecorder *recorder = nullptr);
-
-  [[nodiscard]] const std::string &name() const override { return name_; }
-  [[nodiscard]] const std::vector<std::string> &input_names() const override {
-    return compute_->input_names();
-  }
-
-  support::Expected<std::map<std::string, runtime::Stream>> run_batch(
-      const std::map<std::string, runtime::Stream> &inputs) override;
-
-  /// VF hot-plug: grows/shrinks the replica ring. remove_replica() returns
-  /// the removed device so the owner can detach its VF; it fails rather
-  /// than empty the ring.
-  void add_replica(platform::Device *device) { group_.add_device(device); }
-  support::Expected<platform::Device *> remove_replica() {
-    return group_.remove_last_device();
-  }
-
-  [[nodiscard]] std::size_t replicas() const { return group_.size(); }
-  [[nodiscard]] resil::FailoverStats launch_stats() const {
-    return group_.stats();
-  }
-
-private:
-  std::string name_;
-  std::string kernel_;
-  resil::FailoverGroup group_;
-  std::unique_ptr<DfgBackend> compute_;
 };
 
 struct ClusterOptions {
@@ -121,9 +74,9 @@ struct ClusterOptions {
   /// The serving kernel charged per batch launch on a VF's simulated clock.
   std::string kernel = "serve-graph";
   std::int64_t kernel_cycles = 2'000;
-  double launch_deadline_us = -1.0;
-  /// Per-node VF replica-group policy (placement is forced to RoundRobin;
-  /// host fallback stays with the Server's backend chain).
+  /// Per-node VF replica-group policy: retry budget, launch watchdog
+  /// (`deadline`), breakers. ElasticDeviceBackend forces RoundRobin
+  /// placement and leaves host fallback to the Server's backend chain.
   resil::FailoverOptions vf_failover;
   /// The 10 Gb data-center fabric forwarding rides on, and the payload a
   /// forwarded request carries (request out + response back are priced).
@@ -196,13 +149,10 @@ public:
   AutoscaleReport autoscale();
 
   [[nodiscard]] int primary_node(const std::string &tenant) const;
-  [[nodiscard]] std::vector<int> route_candidates(
-      const std::string &tenant) const;
   /// Simulated round-trip cost of forwarding `bytes` over the fabric.
   [[nodiscard]] double forward_cost_us(std::int64_t bytes) const;
 
   [[nodiscard]] ClusterStats stats() const;
-  [[nodiscard]] const ClusterOptions &options() const { return options_; }
   [[nodiscard]] int nodes() const { return static_cast<int>(nodes_.size()); }
   /// The per-node recorder carrying that node's serve.* metrics.
   [[nodiscard]] obs::TraceRecorder &node_recorder(int node) const;
@@ -216,7 +166,7 @@ private:
   HashRing ring_;
   obs::TraceRecorder *recorder_;
   /// Front-door wall clock: the timeline node breakers run on.
-  obs::TraceRecorder clock_;
+  obs::Clock clock_;
   /// The HLS report programmed onto every VF (also by later hot-plugs).
   hls::KernelReport kernel_report_;
 

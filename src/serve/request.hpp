@@ -26,7 +26,8 @@ struct Request {
   std::map<std::string, runtime::Record> inputs;
   /// Absolute deadline on the server clock (us since server construction);
   /// < 0 means none. Requests still queued past their deadline are shed
-  /// with DeadlineExceeded instead of executed. See Server::admit_deadline.
+  /// with DeadlineExceeded instead of executed: stamp it as
+  /// Server::now_us() + budget.
   double deadline_us = -1.0;
   /// Higher priority dequeues first *within* a tenant; tenants compete only
   /// through their fair-share weights.

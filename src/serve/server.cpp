@@ -434,18 +434,24 @@ support::Expected<std::unique_ptr<Server>> make_server(
     std::shared_ptr<const runtime::NodeRegistry> registry,
     obs::TraceRecorder *recorder, ServerOptions options,
     platform::Device *device, const std::string &kernel,
-    const runtime::DfgExecOptions &exec) {
+    double launch_deadline_us) {
   std::vector<std::unique_ptr<Backend>> backends;
   if (device != nullptr) {
-    auto device_compute = DfgBackend::create(graph, registry, exec, recorder);
+    auto device_compute = DfgBackend::create(graph, registry, {}, recorder);
     if (!device_compute)
       return device_compute.error().with_context("serve make_server");
-    auto fpga =
-        DeviceBackend::create(device, kernel, std::move(*device_compute));
+    // One launch per Server attempt: the Server's retry policy and breaker
+    // already govern this backend.
+    resil::FailoverOptions launch;
+    launch.retry.max_attempts = 1;
+    launch.deadline.deadline_us = launch_deadline_us;
+    auto fpga = ElasticDeviceBackend::create(device->spec().name, {device},
+                                             kernel, std::move(*device_compute),
+                                             launch, recorder);
     if (!fpga) return fpga.error().with_context("serve make_server");
     backends.push_back(std::move(*fpga));
   }
-  auto host = DfgBackend::create(std::move(graph), std::move(registry), exec,
+  auto host = DfgBackend::create(std::move(graph), std::move(registry), {},
                                  recorder);
   if (!host) return host.error().with_context("serve make_server");
   backends.push_back(std::move(*host));

@@ -116,11 +116,8 @@ public:
   void stop();
 
   /// Microseconds since server construction — the clock `deadline_us` is
-  /// measured on. `admit_deadline(budget)` is now_us() + budget.
+  /// measured on.
   [[nodiscard]] double now_us() const { return clock_.now_us(); }
-  [[nodiscard]] double admit_deadline(double budget_us) const {
-    return now_us() + budget_us;
-  }
 
   [[nodiscard]] ServerStats stats() const;
   /// Requests currently waiting for a batch (the serve.queue_depth gauge).
@@ -144,7 +141,7 @@ private:
   DynamicBatcher batcher_;
   obs::TraceRecorder *recorder_;
   /// Private wall clock so deadlines are well-defined without a recorder.
-  obs::TraceRecorder clock_;
+  obs::Clock clock_;
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;   // queue gained work / state changed
@@ -163,16 +160,18 @@ private:
 };
 
 /// Builds a server over a dfg serving graph. The host-CPU dfg backend is
-/// always present; when `device` is non-null a DeviceBackend for `kernel`
-/// (which must already be loaded on the device) is placed in front of it, so
-/// device faults fail over to the host path. serve.* metrics and batch spans
-/// go to `recorder` (may be null). The returned server is not started; call
-/// start() (and stop()/drain() per its lifecycle).
+/// always present; when `device` is non-null an ElasticDeviceBackend over
+/// that one device (a one-VF group, `kernel` already loaded) is placed in
+/// front of it, so device faults fail over to the host path. Each Server
+/// attempt is one launch; `launch_deadline_us` is its watchdog (< 0
+/// disables). serve.* metrics and batch spans go to `recorder` (may be
+/// null). The returned server is not started; call start() (and
+/// stop()/drain() per its lifecycle).
 support::Expected<std::unique_ptr<Server>> make_server(
     std::shared_ptr<const ir::Module> graph,
     std::shared_ptr<const runtime::NodeRegistry> registry,
     obs::TraceRecorder *recorder, ServerOptions options = {},
     platform::Device *device = nullptr, const std::string &kernel = {},
-    const runtime::DfgExecOptions &exec = {});
+    double launch_deadline_us = -1.0);
 
 }  // namespace everest::serve

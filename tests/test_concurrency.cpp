@@ -1,14 +1,17 @@
 // Concurrency tests (run under the tsan preset, CTest label "concurrency"):
 // the support::ThreadPool itself, the determinism of parallel Basecamp
 // compilation — compile_many(jobs=N) must be byte-identical to the serial
-// path for any N — and a multi-threaded stress of the compile cache.
+// path for any N — and multi-threaded stresses of the compile cache and of
+// the per-pass result tier.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "ir/pass.hpp"
 #include "sdk/basecamp.hpp"
 #include "sdk/compile_cache.hpp"
 #include "support/thread_pool.hpp"
@@ -264,4 +267,50 @@ TEST(CompileCacheStressTest, EightThreadsHammeringOneCache) {
   EXPECT_GT(cache.evictions(), 0);
   // Every lookup was either a hit or a miss, never lost.
   EXPECT_EQ(cache.hits() + cache.misses(), 8 * 200);
+}
+
+TEST(PassResultCacheStressTest, FourThreadsCloneHitsAcrossWholesaleResets) {
+  // Four pass names against capacity 2: stores keep resetting the tier
+  // wholesale, or replacing the very key another worker just hit, while the
+  // pass managers clone from their hits outside the cache lock.
+  es::Basecamp basecamp;
+  rr::Config cfg;
+  cfg.ncells = 8;
+  rr::Data data = rr::make_data(cfg);
+  auto seed = basecamp.compile_ekl(rr::ekl_source(), rr::bindings(data));
+  ASSERT_TRUE(seed.has_value()) << seed.error().message;
+  const std::string expected = seed->loop_ir->str();
+  const std::size_t funcs = seed->loop_ir->body().size();
+
+  constexpr int kThreads = 4;
+  constexpr int kRuns = 100;
+  std::vector<everest::ir::Module> masters;
+  for (int t = 0; t < kThreads; ++t)
+    masters.push_back(everest::ir::clone_module(*seed->loop_ir));
+
+  es::PassResultCache cache(/*capacity=*/2);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRuns; ++i) {
+        everest::ir::Module module = everest::ir::clone_module(masters[t]);
+        everest::ir::Context ctx;
+        everest::ir::PassManager pm(ctx, /*verify_each=*/false);
+        pm.add_func_pass("tag-" + std::to_string((t + i) % 4),
+                         [](everest::ir::Operation &, everest::ir::Context &) {
+                           return esup::Status::ok();
+                         });
+        pm.set_pass_cache(&cache);
+        if (!pm.run(module).is_ok() || module.str() != expected)
+          failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto &th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(cache.hits(), 0);
+  EXPECT_LE(cache.size(), 2u);
+  EXPECT_EQ(cache.hits() + cache.misses(),
+            static_cast<std::int64_t>(kThreads * kRuns * funcs));
 }

@@ -436,6 +436,48 @@ TEST(Failover, BreakerShedsARepeatedlyFailingPrimary) {
   EXPECT_EQ(group.breaker_state(0), rs::CircuitBreaker::State::Open);
 }
 
+// A lone device's own clock stops while its breaker is open, so the cooldown
+// must be waited out by the group rather than judged on that frozen clock.
+TEST(Failover, LoneDeviceBreakerCoolsDownOnceTheFaultClears) {
+  FailoverRig rig;
+  auto options = rig.options();
+  options.retry.max_attempts = 1;
+  rs::FailoverGroup group({&rig.primary}, options);
+  for (int i = 0; i < options.breaker.failure_threshold; ++i)
+    EXPECT_FALSE(group.run("k").has_value());
+  ASSERT_EQ(group.breaker_state(0), rs::CircuitBreaker::State::Open);
+  const double opened_at = rig.primary.now_us();
+  rig.primary.attach_fault_injector(nullptr);  // the fault clears
+
+  int served = 0;
+  for (int i = 0; i < 100; ++i) served += group.run("k").has_value() ? 1 : 0;
+  EXPECT_EQ(served, 100);
+  EXPECT_EQ(group.breaker_state(0), rs::CircuitBreaker::State::Closed);
+  // The first launch waited out the cooldown on the device clock.
+  EXPECT_GE(rig.primary.now_us(), opened_at + options.breaker.open_us);
+}
+
+// A healed primary is probed again once the backup's launches have carried
+// the group's timeline past its cooldown.
+TEST(Failover, HealedPrimaryRejoinsOnTheGroupTimeline) {
+  FailoverRig rig;
+  auto options = rig.options();
+  options.retry.max_attempts = 1;
+  rs::FailoverGroup group({&rig.primary, &rig.backup}, options);
+  for (int i = 0; i < options.breaker.failure_threshold; ++i) {
+    auto outcome = group.run("k");
+    ASSERT_TRUE(outcome.has_value());
+    EXPECT_EQ(outcome->executed_on, rig.backup.spec().name);
+  }
+  ASSERT_EQ(group.breaker_state(0), rs::CircuitBreaker::State::Open);
+  rig.primary.attach_fault_injector(nullptr);  // the primary heals
+
+  for (int i = 0; i < 1000; ++i) ASSERT_TRUE(group.run("k").has_value());
+  EXPECT_GT(group.stats().primary_runs, 0);
+  EXPECT_EQ(group.breaker_state(0), rs::CircuitBreaker::State::Closed);
+  EXPECT_GT(group.stats().breaker_rejections, 0);
+}
+
 // ----------------------------------------------------------- network faults
 
 TEST(NetworkFaults, LinkDropLosesTheMessageButBurnsWireTime) {

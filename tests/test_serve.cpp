@@ -576,18 +576,6 @@ TEST(Server, DeviceFaultsFailOverToHostCpu) {
   ep::FaultInjector injector(11, plan);
   device.attach_fault_injector(&injector);
 
-  auto fpga_compute = es::DfgBackend::create(pipe_graph(), pipe_registry());
-  ASSERT_TRUE(fpga_compute.has_value());
-  auto fpga = es::DeviceBackend::create(&device, "serve_pipe",
-                                        std::move(*fpga_compute),
-                                        /*launch_deadline_us=*/50.0);
-  ASSERT_TRUE(fpga.has_value());
-  auto host = es::DfgBackend::create(pipe_graph(), pipe_registry());
-  ASSERT_TRUE(host.has_value());
-  std::vector<std::unique_ptr<es::Backend>> backends;
-  backends.push_back(std::move(*fpga));
-  backends.push_back(std::move(*host));
-
   es::ServerOptions options;
   options.dispatchers = 1;
   options.batch.max_batch = 4;
@@ -595,8 +583,12 @@ TEST(Server, DeviceFaultsFailOverToHostCpu) {
   options.retry.initial_backoff_us = 1.0;
   options.breaker.failure_threshold = 1;
   options.breaker.open_us = 1e12;  // stays open for the whole test
-  auto server = es::Server::create(std::move(backends), options, &recorder);
-  ASSERT_TRUE(server.has_value());
+  // The card is a one-device group in front of the host-cpu backend.
+  auto server = es::make_server(pipe_graph(), pipe_registry(), &recorder,
+                                options, &device, "serve_pipe",
+                                /*launch_deadline_us=*/50.0);
+  ASSERT_TRUE(server.has_value()) << server.error().message;
+  ASSERT_EQ((*server)->backends().size(), 2u);
 
   std::vector<std::future<es::Response>> futures;
   for (int i = 0; i < 8; ++i) {

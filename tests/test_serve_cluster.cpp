@@ -378,4 +378,28 @@ TEST(Cluster, CreateValidatesItsOptions) {
   bad_vfs.max_vfs = 2;
   EXPECT_FALSE(
       es::Cluster::create(pipe_graph(), pipe_registry(), bad_vfs).has_value());
+
+  // The device backend every node runs validates its own inputs.
+  ep::Device device(ep::alveo_u55c());
+  auto compute = [] {
+    auto created = es::DfgBackend::create(pipe_graph(), pipe_registry());
+    EXPECT_TRUE(created.has_value());
+    return std::move(*created);
+  };
+  auto null_device = es::ElasticDeviceBackend::create(
+      "fpga", {&device, nullptr}, "serve_pipe", compute());
+  ASSERT_FALSE(null_device.has_value());
+  EXPECT_EQ(null_device.error().code_enum(),
+            esup::ErrorCode::InvalidArgument);
+  auto no_devices =
+      es::ElasticDeviceBackend::create("fpga", {}, "serve_pipe", compute());
+  ASSERT_FALSE(no_devices.has_value());
+  EXPECT_EQ(no_devices.error().code_enum(), esup::ErrorCode::InvalidArgument);
+  auto no_compute = es::ElasticDeviceBackend::create("fpga", {&device},
+                                                     "serve_pipe", nullptr);
+  ASSERT_FALSE(no_compute.has_value());
+  EXPECT_EQ(no_compute.error().code_enum(), esup::ErrorCode::InvalidArgument);
+  EXPECT_TRUE(es::ElasticDeviceBackend::create("fpga", {&device},
+                                               "serve_pipe", compute())
+                  .has_value());
 }

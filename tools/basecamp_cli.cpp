@@ -295,6 +295,7 @@ int cmd_serve(Basecamp &basecamp, int argc, char **argv) {
   // Optional FPGA front-end backend on a simulated Alveo card.
   std::unique_ptr<everest::platform::Device> device;
   std::unique_ptr<everest::platform::FaultInjector> injector;
+  double launch_deadline_us = -1.0;
   if (use_device) {
     auto spec = basecamp.device_by_name("alveo-u55c");
     if (!spec) {
@@ -313,6 +314,10 @@ int cmd_serve(Basecamp &basecamp, int argc, char **argv) {
       std::fprintf(stderr, "basecamp serve: %s\n", s.error().message.c_str());
       return 1;
     }
+    // Launch watchdog: twice the clean dataflow latency on the card clock,
+    // so a hung kernel is abandoned and retried or failed over.
+    launch_deadline_us = 2.0 * static_cast<double>(kernel.dataflow_cycles) /
+                         spec->clock_mhz;
     if (fault_inject) {
       auto plan = fault_plan_spec.empty()
                       ? everest::platform::parse_fault_plan(
@@ -331,7 +336,7 @@ int cmd_serve(Basecamp &basecamp, int argc, char **argv) {
   }
 
   auto server = es::make_server(*graph, registry, &basecamp.recorder(), options,
-                                device.get(), "serve_pipe");
+                                device.get(), "serve_pipe", launch_deadline_us);
   if (!server) {
     std::fprintf(stderr, "basecamp serve: [%s] %s\n",
                  server.error().code_name(), server.error().message.c_str());
@@ -409,7 +414,11 @@ int cmd_serve(Basecamp &basecamp, int argc, char **argv) {
                 static_cast<unsigned long long>(fault_seed));
     for (const auto &[kind, count] : injector->injected_counts())
       std::printf(" %s=%lld", kind.c_str(), static_cast<long long>(count));
-    std::printf("  -- recovered via retry/failover\n");
+    const std::int64_t retries =
+        basecamp.recorder().counter("resil.retry.attempts").value();
+    if (stats.failovers > 0 || retries > 0)
+      std::printf("  -- recovered via retry/failover");
+    std::printf("\n");
   }
 
   if (!trace_out.empty()) {
