@@ -3,18 +3,34 @@
 // compiles through the full Basecamp pipeline, validates the compiled
 // loop-level IR against a scalar host reference (error < epsilon), and
 // reports measured-vs-roofline ratios against the device model's published
-// HBM / DMA / network bandwidths. Emits one BENCH_hpcc.json and self-checks
-// it with check_suite_json; any validation or sanity-bound violation makes
-// the process exit non-zero.
+// HBM / DMA / network bandwidths. Emits one BENCH_hpcc.json of bench
+// records (bench_record.hpp); the gate table decides the exit code.
 
 #include <cstdio>
-#include <fstream>
+#include <string>
+#include <utility>
 
+#include "bench_record.hpp"
 #include "hpcc/workloads.hpp"
 #include "sdk/options.hpp"
 #include "support/table.hpp"
 
 namespace hpcc = everest::hpcc;
+using everest::bench::Clock;
+
+namespace {
+
+/// Unit and clock of a per-benchmark detail value, from its key's suffix:
+/// every HPCC time and rate is read off the simulated device timeline.
+std::pair<const char *, Clock> detail_unit(const std::string &key) {
+  if (key.ends_with("_us")) return {"us", Clock::Sim};
+  if (key.ends_with("_gbps")) return {"GB/s", Clock::Sim};
+  if (key.ends_with("_gflops")) return {"GFLOP/s", Clock::Sim};
+  if (key.ends_with("_bytes")) return {"B", Clock::None};
+  return {"1", Clock::None};
+}
+
+}  // namespace
 
 int main(int argc, char **argv) {
   auto config = hpcc::parse_hpcc_args(argc, argv);
@@ -54,22 +70,39 @@ int main(int argc, char **argv) {
                  device.error().message.c_str());
     return 1;
   }
-  auto doc = hpcc::suite_json(*config, *device, *results);
-  {
-    std::ofstream out(config->out);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", config->out.c_str());
-      return 1;
+  everest::bench::BenchReport report;
+  report.in("hpcc", "config", "hpcc")
+      .add("n", "count", Clock::None, static_cast<double>(config->n))
+      .add("replications", "count", Clock::None, config->replications)
+      .add("seed", "1", Clock::None, static_cast<double>(config->seed))
+      .add("replicas", "count", Clock::None, config->replicas)
+      .add("tile_bytes", "B", Clock::None,
+           static_cast<double>(config->tile_bytes))
+      .add("beff_world", "count", Clock::None, config->beff_world);
+  report.in("hpcc", "device", "platform")
+      .add("peak_memory_gbps", "GB/s", Clock::None,
+           hpcc::peak_memory_gbps(*device))
+      .add("peak_link_gbps", "GB/s", Clock::None, hpcc::peak_link_gbps(*device))
+      .add("network_peak_gbps", "GB/s", Clock::None,
+           hpcc::network_peak_gbps(everest::platform::NetworkSpec{}));
+  for (const auto &r : *results) {
+    auto row = report.in("hpcc", r.name, "hpcc");
+    row.add("measured", r.unit, Clock::Sim, r.measured)
+        .add("roofline", r.unit, Clock::None, r.roofline)
+        .add("ratio", "ratio", Clock::Sim, r.ratio)
+        .add("error", "rel", Clock::None, r.error)
+        .add("epsilon", "rel", Clock::None, r.epsilon)
+        .add("error_over_epsilon", "ratio", Clock::None, r.error / r.epsilon)
+        .add("validated", "bool", Clock::None, r.validated)
+        .add("bytes", "B", Clock::None, r.bytes)
+        .add("flops", "flop", Clock::None, r.flops);
+    for (const auto &[key, value] : r.extra.fields()) {
+      if (!value.is_number()) continue;
+      auto [unit, clock] = detail_unit(key);
+      row.add(key, unit, clock, value.as_number());
     }
-    out << doc.dump(2) << "\n";
+    report.in("hpcc", r.name, "platform")
+        .add("device_us", "us", Clock::Sim, r.device_us);
   }
-  std::printf("wrote %s\n", config->out.c_str());
-
-  if (auto check = hpcc::check_suite_json(doc); !check.is_ok()) {
-    std::fprintf(stderr, "self-check FAILED: %s\n",
-                 check.error().message.c_str());
-    return 1;
-  }
-  std::printf("self-check passed: 7/7 workloads validated, ratios in (0, 1]\n");
-  return 0;
+  return report.finish(config->out);
 }

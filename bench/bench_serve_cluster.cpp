@@ -2,9 +2,9 @@
 // nodes and sweeps the node count 1 -> 8 over the same request trace.
 // Throughput is measured on the simulated device timeline (max per-node
 // accelerator busy time — nodes run in parallel), so the sweep is
-// deterministic and CI-stable. Emits one BENCH_serve_cluster.json and
-// self-checks the serving invariants; any violation makes the process exit
-// non-zero:
+// deterministic and CI-stable; per-tenant latencies are wall-clock. Emits
+// one BENCH_serve_cluster.json of bench records (bench_record.hpp) covering
+// the serving invariants the gate table then judges:
 //   - scaling: throughput at 8 nodes >= 5x the single-node run;
 //   - correctness: every node count produces byte-identical outputs to the
 //     single-node run on the same trace;
@@ -14,21 +14,20 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <future>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_record.hpp"
 #include "frontend/condrust_parser.hpp"
 #include "serve/cluster.hpp"
-#include "support/json.hpp"
 #include "support/table.hpp"
 
 namespace es = everest::serve;
 namespace er = everest::runtime;
-using everest::support::Json;
+using everest::bench::Clock;
 
 namespace {
 
@@ -176,11 +175,7 @@ int main(int argc, char **argv) {
   }
   auto registry = make_registry();
 
-  std::vector<std::string> violations;
-  auto violation = [&](std::string msg) {
-    std::fprintf(stderr, "VIOLATION: %s\n", msg.c_str());
-    violations.push_back(std::move(msg));
-  };
+  everest::bench::BenchReport report;
 
   // ---- Scaling sweep: same trace, node count 1 -> 8 --------------------
   const int kNodeCounts[] = {1, 2, 4, 8};
@@ -200,8 +195,6 @@ int main(int argc, char **argv) {
   everest::support::Table table({"nodes", "completed", "shed", "forwarded",
                                  "busy [us]", "throughput [req/s]", "speedup",
                                  "max share", "identical"});
-  Json scaling = Json::array();
-  double speedup_8x = 0.0;
   for (int nodes : kNodeCounts) {
     const TraceResult &run = runs.at(nodes);
     const double throughput =
@@ -210,7 +203,6 @@ int main(int argc, char **argv) {
             : 0.0;
     const double speedup = run.busy_us > 0.0 ? single_busy / run.busy_us : 0.0;
     const bool identical = identical_outputs(single, run);
-    if (nodes == 8) speedup_8x = speedup;
 
     table.add_row({std::to_string(nodes), std::to_string(run.completed),
                    std::to_string(run.shed), std::to_string(run.forwarded),
@@ -218,55 +210,37 @@ int main(int argc, char **argv) {
                    fmt(speedup, "%.2f"), fmt(run.max_node_share, "%.3f"),
                    identical ? "yes" : "NO"});
 
-    if (run.completed != kRequests)
-      violation("nominal load, " + std::to_string(nodes) + " nodes: only " +
-                std::to_string(run.completed) + "/" +
-                std::to_string(kRequests) + " requests completed");
-    if (run.shed != 0)
-      violation("nominal load, " + std::to_string(nodes) + " nodes: " +
-                std::to_string(run.shed) + " requests shed");
-    if (!identical)
-      violation(std::to_string(nodes) +
-                "-node outputs differ from the single-node run");
-
-    Json row = Json::object();
-    row.set("nodes", nodes);
-    row.set("requests", kRequests);
-    row.set("completed", run.completed);
-    row.set("shed", run.shed);
-    row.set("forwarded", run.forwarded);
-    row.set("busy_us", run.busy_us);
-    row.set("forward_net_us", run.forward_net_us);
-    row.set("throughput_rps", throughput);
-    row.set("speedup", speedup);
-    row.set("max_node_share", run.max_node_share);
-    row.set("identical", identical);
-    scaling.push_back(std::move(row));
+    report.in("serve_cluster", "nodes_" + std::to_string(nodes), "serve")
+        .add("requests", "count", Clock::None, kRequests)
+        .add("completed", "count", Clock::None,
+             static_cast<double>(run.completed))
+        .add("incomplete", "count", Clock::None,
+             static_cast<double>(kRequests - run.completed))
+        .add("shed", "count", Clock::None, static_cast<double>(run.shed))
+        .add("forwarded", "count", Clock::None,
+             static_cast<double>(run.forwarded))
+        .add("busy_us", "us", Clock::Sim, run.busy_us)
+        .add("forward_net_us", "us", Clock::Sim, run.forward_net_us)
+        .add("throughput_rps", "1/s", Clock::Sim, throughput)
+        .add("speedup", "x", Clock::Sim, speedup)
+        .add("max_node_share", "ratio", Clock::None, run.max_node_share)
+        .add("identical", "bool", Clock::None, identical);
   }
   std::printf("%s\n", table.render().c_str());
 
-  if (speedup_8x < 5.0)
-    violation("8-node speedup " + fmt(speedup_8x, "%.2f") + " < 5.0");
-
   // Per-tenant tail latency on the 8-node run.
-  Json tenants = Json::array();
   for (const auto &[tenant, latencies] : runs.at(8).latencies) {
-    const double p99 = percentile(latencies, 0.99);
-    if (!(p99 > 0.0))
-      violation("tenant " + tenant + ": p99 latency not positive");
-    Json row = Json::object();
-    row.set("tenant", tenant);
-    row.set("requests", latencies.size());
-    row.set("p50_us", percentile(latencies, 0.50));
-    row.set("p99_us", p99);
-    tenants.push_back(std::move(row));
+    report.in("serve_cluster", tenant, "serve")
+        .add("requests", "count", Clock::None,
+             static_cast<double>(latencies.size()))
+        .add("p50_us", "us", Clock::Wall, percentile(latencies, 0.50))
+        .add("p99_us", "us", Clock::Wall, percentile(latencies, 0.99));
   }
 
   // ---- Overload segment: tight queue bounds must shed, books must close --
-  std::int64_t overload_shed = 0;
-  std::int64_t overload_completed = 0;
-  std::int64_t overload_submitted = 0;
   {
+    std::int64_t overload_completed = 0;
+    std::int64_t overload_submitted = 0;
     es::ClusterOptions options = base_options(8);
     options.server.queue_bound = 8;  // per tenant per node: forces shedding
     auto cluster = es::Cluster::create(*graph, registry, options);
@@ -294,13 +268,19 @@ int main(int argc, char **argv) {
       if (future.get().status.is_ok()) ++overload_completed;
     (*cluster)->stop();
     auto stats = (*cluster)->stats();
-    overload_shed = stats.shed;
-    if (overload_shed == 0)
-      violation("overload segment shed nothing despite queue_bound=8");
-    if (stats.admitted + stats.shed != overload_submitted)
-      violation("overload accounting: admitted + shed != submitted");
-    if (overload_completed != stats.admitted)
-      violation("overload segment: admitted requests did not all complete");
+    report.in("serve_cluster", "overload", "serve")
+        .add("submitted", "count", Clock::None,
+             static_cast<double>(overload_submitted))
+        .add("admitted", "count", Clock::None,
+             static_cast<double>(stats.admitted))
+        .add("completed", "count", Clock::None,
+             static_cast<double>(overload_completed))
+        .add("shed", "count", Clock::None, static_cast<double>(stats.shed))
+        .add("admission_gap", "count", Clock::None,
+             static_cast<double>(overload_submitted - stats.admitted -
+                                 stats.shed))
+        .add("incomplete", "count", Clock::None,
+             static_cast<double>(stats.admitted - overload_completed));
   }
 
   // ---- Elasticity segment: VF hot-plug follows the queue-depth gauge ----
@@ -339,67 +319,26 @@ int main(int argc, char **argv) {
     scale_downs = stats.scale_downs;
     final_vfs = stats.nodes.at(0).vfs;
     (*cluster)->stop();
-    if (scale_ups < 1)
-      violation("elasticity: backlog of 256 requests triggered no scale-up");
-    if (peak_vfs <= options.min_vfs)
-      violation("elasticity: VF count never grew past min_vfs");
-    if (scale_downs < 1 || final_vfs != options.min_vfs)
-      violation("elasticity: idle cluster did not scale back to min_vfs");
   }
   std::printf("elasticity: %lld scale-ups to %d VFs, %lld scale-downs "
               "back to %d\n",
               static_cast<long long>(scale_ups), peak_vfs,
               static_cast<long long>(scale_downs), final_vfs);
 
-  // ---- Report ----------------------------------------------------------
+  report.in("serve_cluster", "elastic", "virt")
+      .add("scale_ups", "count", Clock::None, static_cast<double>(scale_ups))
+      .add("scale_downs", "count", Clock::None,
+           static_cast<double>(scale_downs))
+      .add("peak_vfs", "count", Clock::None, peak_vfs)
+      .add("final_vfs", "count", Clock::None, final_vfs);
+
   es::ClusterOptions probe = base_options(1);
-  Json doc = Json::object();
-  doc.set("suite", "serve_cluster");
-  Json network = Json::object();
-  network.set("gbps", probe.network.gbps);
-  network.set("latency_us", probe.network.latency_us);
-  {
-    // Round-trip price of one forwarded request, straight from the model.
-    auto pricing = es::Cluster::create(*graph, registry, probe);
-    if (pricing)
-      network.set("forward_cost_us",
-                  (*pricing)->forward_cost_us(probe.request_bytes));
-  }
-  doc.set("network", std::move(network));
-  doc.set("scaling", std::move(scaling));
-  doc.set("speedup_8x", speedup_8x);
-  doc.set("tenants", std::move(tenants));
-  Json overload = Json::object();
-  overload.set("submitted", overload_submitted);
-  overload.set("completed", overload_completed);
-  overload.set("shed", overload_shed);
-  doc.set("overload", std::move(overload));
-  Json elastic = Json::object();
-  elastic.set("scale_ups", scale_ups);
-  elastic.set("scale_downs", scale_downs);
-  elastic.set("peak_vfs", peak_vfs);
-  elastic.set("final_vfs", final_vfs);
-  doc.set("elastic", std::move(elastic));
-  Json violation_list = Json::array();
-  for (const std::string &v : violations) violation_list.push_back(v);
-  doc.set("violations", std::move(violation_list));
-
-  {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    out << doc.dump(2) << "\n";
-  }
-  std::printf("wrote %s\n", out_path.c_str());
-
-  if (!violations.empty()) {
-    std::fprintf(stderr, "%zu violation(s)\n", violations.size());
-    return 1;
-  }
-  std::printf("self-check passed: 8-node speedup %.2fx, outputs "
-              "byte-identical, shed only under overload\n",
-              speedup_8x);
-  return 0;
+  auto network = report.in("serve_cluster", "network", "platform");
+  network.add("gbps", "Gb/s", Clock::None, probe.network.gbps)
+      .add("latency_us", "us", Clock::Sim, probe.network.latency_us);
+  // Round-trip price of one forwarded request, straight from the model.
+  if (auto pricing = es::Cluster::create(*graph, registry, probe))
+    network.add("forward_cost_us", "us", Clock::Sim,
+                (*pricing)->forward_cost_us(probe.request_bytes));
+  return report.finish(out_path);
 }

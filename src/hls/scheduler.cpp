@@ -166,7 +166,7 @@ Expected<KernelReport> schedule_kernel(const ir::Module &loops,
       break;
     }
   }
-  if (!func) return Error::make("hls: no func.func in module");
+  if (!func) return Error::invalid_argument("hls: no func.func in module");
 
   KernelReport report;
   report.name = func->attr_string("sym_name");
@@ -195,7 +195,7 @@ Expected<KernelReport> schedule_kernel(const ir::Module &loops,
     }
   }
   if (report.stages.empty())
-    return Error::make("hls: kernel has no loop nests to schedule");
+    return Error::invalid_argument("hls: kernel has no loop nests to schedule");
 
   // Dataflow (read/execute/write pipelining, ref [16]): stages overlap, so
   // steady-state cost is the slowest stage; other stages contribute their

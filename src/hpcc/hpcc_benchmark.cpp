@@ -17,7 +17,6 @@ namespace everest::hpcc {
 
 using support::Error;
 using support::Expected;
-using support::Json;
 using support::Status;
 
 Expected<HpccConfig> parse_hpcc_args(int argc, const char *const *argv) {
@@ -74,24 +73,6 @@ Expected<HpccConfig> parse_hpcc_args(int argc, const char *const *argv) {
   if (config.beff_world < 2)
     return Error::invalid_argument("hpcc: --world must be >= 2");
   return config;
-}
-
-Json BenchmarkResult::to_json() const {
-  Json row = Json::object();
-  row.set("name", name);
-  row.set("unit", unit);
-  row.set("axis", axis);
-  row.set("measured", measured);
-  row.set("roofline", roofline);
-  row.set("ratio", ratio);
-  row.set("error", error);
-  row.set("epsilon", epsilon);
-  row.set("validated", Json(validated));
-  row.set("device_us", device_us);
-  row.set("bytes", bytes);
-  row.set("flops", flops);
-  row.set("extra", extra);
-  return row;
 }
 
 double peak_memory_gbps(const platform::DeviceSpec &spec) {
@@ -210,102 +191,6 @@ Expected<std::vector<BenchmarkResult>> run_suite(HpccHarness &harness) {
     results.push_back(std::move(*result));
   }
   return results;
-}
-
-Json suite_json(const HpccConfig &config, const platform::DeviceSpec &device,
-                const std::vector<BenchmarkResult> &results) {
-  Json doc = Json::object();
-  doc.set("suite", "hpcc");
-
-  Json cfg = Json::object();
-  cfg.set("n", config.n);
-  cfg.set("replications", config.replications);
-  cfg.set("target", config.target);
-  cfg.set("number_format", config.number_format);
-  cfg.set("seed", static_cast<std::int64_t>(config.seed));
-  cfg.set("replicas", config.replicas);
-  cfg.set("tile_bytes", config.tile_bytes);
-  cfg.set("beff_world", config.beff_world);
-  doc.set("config", std::move(cfg));
-
-  Json dev = Json::object();
-  dev.set("name", device.name);
-  dev.set("peak_memory_gbps", peak_memory_gbps(device));
-  dev.set("peak_link_gbps", peak_link_gbps(device));
-  dev.set("network_peak_gbps", network_peak_gbps(platform::NetworkSpec{}));
-  doc.set("device", std::move(dev));
-
-  Json rows = Json::array();
-  for (const auto &r : results) rows.push_back(r.to_json());
-  doc.set("benchmarks", std::move(rows));
-  return doc;
-}
-
-Status check_suite_json(const Json &doc) {
-  auto fail = [](const std::string &msg) {
-    return Status::failure("hpcc json: " + msg,
-                           support::ErrorCode::InvalidArgument);
-  };
-  if (!doc.is_object()) return fail("document is not an object");
-  if (!doc["suite"].is_string() || doc["suite"].as_string() != "hpcc")
-    return fail("missing suite == \"hpcc\"");
-  if (!doc["config"].is_object() || !doc["config"]["n"].is_number() ||
-      !doc["config"]["target"].is_string())
-    return fail("config object missing n / target");
-  const Json &dev = doc["device"];
-  if (!dev.is_object() || !dev["name"].is_string())
-    return fail("device object missing name");
-  for (const char *key :
-       {"peak_memory_gbps", "peak_link_gbps", "network_peak_gbps"}) {
-    if (!dev[key].is_number() || dev[key].as_number() <= 0.0)
-      return fail(std::string("device roofline source '") + key +
-                  "' missing or non-positive");
-  }
-  if (!doc["benchmarks"].is_array())
-    return fail("benchmarks is not an array");
-
-  static const char *expected[] = {"stream",       "gemm",    "ptrans", "fft",
-                                   "randomaccess", "linpack", "b_eff"};
-  std::map<std::string, int> seen;
-  for (std::size_t i = 0; i < doc["benchmarks"].size(); ++i) {
-    const Json &row = doc["benchmarks"][i];
-    if (!row.is_object()) return fail("benchmark row is not an object");
-    const std::string label =
-        row["name"].is_string() ? row["name"].as_string()
-                                : "#" + std::to_string(i);
-    for (const char *key : {"name", "unit", "axis"}) {
-      if (!row[key].is_string())
-        return fail("row " + label + ": missing string field '" + key + "'");
-    }
-    for (const char *key : {"measured", "roofline", "ratio", "error",
-                            "epsilon", "device_us", "bytes", "flops"}) {
-      if (!row[key].is_number())
-        return fail("row " + label + ": missing number field '" + key + "'");
-    }
-    if (!row["validated"].is_bool() || !row["validated"].as_bool())
-      return fail("row " + label + ": validated is not true");
-    if (!(row["error"].as_number() < row["epsilon"].as_number()))
-      return fail("row " + label + ": error !< epsilon");
-    double ratio = row["ratio"].as_number();
-    if (!(ratio > 0.0) || !(ratio <= 1.0))
-      return fail("row " + label + ": measured/roofline ratio " +
-                  std::to_string(ratio) + " outside (0, 1]");
-    if (!(row["measured"].as_number() > 0.0) ||
-        !(row["roofline"].as_number() > 0.0))
-      return fail("row " + label + ": non-positive measured or roofline");
-    if (!(row["device_us"].as_number() > 0.0))
-      return fail("row " + label + ": non-positive device_us");
-    seen[row["name"].as_string()]++;
-  }
-  for (const char *name : expected) {
-    auto it = seen.find(name);
-    if (it == seen.end())
-      return fail(std::string("workload '") + name + "' missing from suite");
-    if (it->second != 1)
-      return fail(std::string("workload '") + name + "' appears " +
-                  std::to_string(it->second) + " times");
-  }
-  return Status::ok();
 }
 
 }  // namespace everest::hpcc

@@ -43,7 +43,7 @@ struct HpccConfig {
 /// error on unknown flags or unparsable values.
 support::Expected<HpccConfig> parse_hpcc_args(int argc, const char *const *argv);
 
-/// Uniform result record: one row of BENCH_hpcc.json.
+/// Uniform result record: what every benchmark reports.
 struct BenchmarkResult {
   std::string name;
   std::string unit;       // "GB/s", "GFLOP/s", or "GUPS"
@@ -58,8 +58,6 @@ struct BenchmarkResult {
   double bytes = 0.0;     // memory traffic per invocation
   double flops = 0.0;     // scalar flops per invocation (0 for bandwidth kernels)
   support::Json extra = support::Json::object();  // per-benchmark detail
-
-  [[nodiscard]] support::Json to_json() const;
 };
 
 /// Roofline sources: the device model's published bandwidth numbers.
@@ -163,17 +161,5 @@ std::vector<std::unique_ptr<HpccBenchmark>> make_suite();
 
 /// Runs the full suite; fails on the first benchmark error.
 support::Expected<std::vector<BenchmarkResult>> run_suite(HpccHarness &harness);
-
-/// Assembles the BENCH_hpcc.json document: config, the device's published
-/// roofline sources, and one row per benchmark.
-support::Json suite_json(const HpccConfig &config,
-                         const platform::DeviceSpec &device,
-                         const std::vector<BenchmarkResult> &results);
-
-/// Schema self-check for a suite document: structure, the presence of all
-/// seven workloads, `validated: true` on every row, `error < epsilon`, and
-/// measured-vs-roofline ratios in (0, 1]. CI runs this against the emitted
-/// file so silently-skipped workloads fail loudly.
-support::Status check_suite_json(const support::Json &doc);
 
 }  // namespace everest::hpcc

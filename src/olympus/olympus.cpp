@@ -21,9 +21,9 @@ using support::Expected;
 Expected<SystemEstimate> SystemGenerator::estimate(
     const hls::KernelReport &kernel, const Options &options) const {
   if (options.replicas < 1)
-    return Error::make("olympus: replicas must be >= 1");
+    return Error::invalid_argument("olympus: replicas must be >= 1");
   if (device_.memory.hbm_channels <= 0 && device_.memory.ddr_gbps <= 0.0)
-    return Error::make("olympus: device has no external memory model");
+    return Error::unsupported("olympus: device has no external memory model");
 
   SystemEstimate est;
   est.replicas = options.replicas;
@@ -168,8 +168,8 @@ Expected<double> SystemGenerator::execute_on(platform::Device &dev,
   auto est = estimate(kernel, options);
   if (!est) return est.error();
   if (!est->fits)
-    return Error::make("olympus: configuration does not fit on " +
-                       device_.name);
+    return Error::resource_exhausted("olympus: configuration does not fit on " +
+                                     device_.name);
 
   // Program an adjusted kernel whose cycle count reflects the generated
   // system (replication + memory overlap already folded in).

@@ -364,3 +364,21 @@ TEST_F(OlympusTest, RejectsOverReplication) {
   options.replicas = 0;
   EXPECT_FALSE(gen.estimate(kernel_, options).has_value());
 }
+
+TEST_F(OlympusTest, ExecuteOnReportsCodedErrors) {
+  eo::SystemGenerator gen(ep::cloudfpga());
+  ep::Device dev(ep::cloudfpga());
+  eo::Options oversized;
+  oversized.replicas = 4096;
+  auto too_big = gen.execute_on(dev, kernel_, oversized);
+  ASSERT_FALSE(too_big.has_value());
+  EXPECT_EQ(too_big.error().code_enum(),
+            everest::support::ErrorCode::ResourceExhausted);
+
+  eo::Options none;
+  none.replicas = 0;
+  auto empty = gen.execute_on(dev, kernel_, none);
+  ASSERT_FALSE(empty.has_value());
+  EXPECT_EQ(empty.error().code_enum(),
+            everest::support::ErrorCode::InvalidArgument);
+}

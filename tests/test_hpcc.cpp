@@ -1,8 +1,8 @@
 // Tests for the HPCC-FPGA workload suite (src/hpcc): randomized
 // differential validation of every kernel against scalar host references,
 // golden print->parse->print IR fixtures, the compile-cache behavior of the
-// GEMM tile-size knob, the BENCH_hpcc.json schema self-check, and the
-// partial-subscript gather regression the b_eff kernel depends on.
+// GEMM tile-size knob, and the partial-subscript gather regression the b_eff
+// kernel depends on.
 
 #include <fstream>
 #include <sstream>
@@ -14,7 +14,6 @@
 #include "frontend/ekl_parser.hpp"
 #include "hpcc/workloads.hpp"
 #include "ir/parser.hpp"
-#include "sdk/options.hpp"
 #include "support/rng.hpp"
 #include "transforms/ekl_eval.hpp"
 
@@ -248,62 +247,6 @@ TEST(HpccFixtures, GoldenPrintParsePrintIsByteStable) {
     EXPECT_EQ((*reparsed)->str(), golden)
         << "IR print -> parse -> print is not a fixpoint";
   }
-}
-
-// ------------------------------------------------------------- json schema
-
-TEST(HpccJson, SuiteDocumentPassesSchemaAndCorruptionsFail) {
-  eh::HpccConfig config = small_config(8);
-  eh::HpccHarness harness(config);
-  auto results = eh::run_suite(harness);
-  ASSERT_TRUE(results.has_value()) << results.error().message;
-  auto device = everest::sdk::resolve_target(config.target);
-  ASSERT_TRUE(device.has_value());
-
-  auto doc = eh::suite_json(config, *device, *results);
-  EXPECT_TRUE(eh::check_suite_json(doc).is_ok());
-
-  {
-    auto bad = *results;
-    bad[0].validated = false;
-    EXPECT_FALSE(
-        eh::check_suite_json(eh::suite_json(config, *device, bad)).is_ok())
-        << "validated=false must fail the schema check";
-  }
-  {
-    auto bad = *results;
-    bad[1].ratio = 1.5;
-    EXPECT_FALSE(
-        eh::check_suite_json(eh::suite_json(config, *device, bad)).is_ok())
-        << "ratio above 1 must fail the sanity bound";
-  }
-  {
-    auto bad = *results;
-    bad[2].error = bad[2].epsilon;
-    EXPECT_FALSE(
-        eh::check_suite_json(eh::suite_json(config, *device, bad)).is_ok())
-        << "error == epsilon violates the strict error < epsilon contract";
-  }
-  {
-    auto bad = *results;
-    bad.pop_back();
-    EXPECT_FALSE(
-        eh::check_suite_json(eh::suite_json(config, *device, bad)).is_ok())
-        << "a missing workload must fail the completeness check";
-  }
-  {
-    auto bad = *results;
-    bad.push_back(bad.front());
-    EXPECT_FALSE(
-        eh::check_suite_json(eh::suite_json(config, *device, bad)).is_ok())
-        << "a duplicated workload must fail the completeness check";
-  }
-  EXPECT_FALSE(eh::check_suite_json(esup::Json::object()).is_ok());
-
-  // The emitted document round-trips through text.
-  auto reparsed = esup::Json::parse(doc.dump(2));
-  ASSERT_TRUE(reparsed.has_value());
-  EXPECT_TRUE(eh::check_suite_json(*reparsed).is_ok());
 }
 
 // -------------------------------------------------------------------- args
