@@ -1,14 +1,14 @@
 // E9 (paper §VIII): "We also implemented the PTDR kernel on a compute
 // cluster with Alveo u55c FPGAs ... We also tested this component with the
-// virtualization layer." Measures the CPU Monte-Carlo kernel with
-// google-benchmark across sample counts, schedules the same kernel with the
-// HLS engine onto the u55c model (including host transfers via the XRT-like
-// API), and repeats the device run through an SR-IOV VF.
-
-#include <benchmark/benchmark.h>
+// virtualization layer." Times the CPU Monte-Carlo kernel (median of a
+// fixed repetition count) across sample counts, schedules the same kernel
+// with the HLS engine onto the u55c model (including host transfers via the
+// XRT-like API), and repeats the device run through an SR-IOV VF.
 
 #include <chrono>
 #include <cstdio>
+
+#include "median_time.hpp"
 
 #include "hls/scheduler.hpp"
 #include "olympus/olympus.hpp"
@@ -33,18 +33,6 @@ Fixture &fixture() {
   return f;
 }
 
-void BM_PtdrCpu(benchmark::State &state) {
-  auto &f = fixture();
-  auto samples = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    auto dist = pt::monte_carlo(f.model, f.route, 40, samples, 9);
-    benchmark::DoNotOptimize(dist);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(samples));
-}
-BENCHMARK(BM_PtdrCpu)->Arg(1000)->Arg(10000)->Arg(100000);
-
 /// Wall-clock of one CPU run, for the comparison table.
 double cpu_ms(std::size_t samples) {
   auto &f = fixture();
@@ -57,7 +45,7 @@ double cpu_ms(std::size_t samples) {
 
 }  // namespace
 
-int main(int argc, char **argv) {
+int main() {
   std::printf("== E9: PTDR on Alveo u55c (simulated) vs CPU ==\n\n");
   auto &f = fixture();
 
@@ -106,7 +94,15 @@ int main(int argc, char **argv) {
               "inner loop vs serial CPU); the SR-IOV column tracks native\n"
               "within a few percent (virtualization layer claim).\n\n");
 
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  everest::support::Table timing({"case", "median [ms]", "items/s"});
+  for (std::size_t samples : {1000u, 10000u, 100000u}) {
+    double ms = everest::bench::median_ms(
+        [&] { pt::monte_carlo(f.model, f.route, 40, samples, 9); });
+    char m[32], rate[32];
+    std::snprintf(m, sizeof m, "%.3f", ms);
+    std::snprintf(rate, sizeof rate, "%.0f", samples / (ms / 1000.0));
+    timing.add_row({"PtdrCpu/" + std::to_string(samples), m, rate});
+  }
+  std::printf("%s\n", timing.render().c_str());
   return 0;
 }

@@ -1,14 +1,15 @@
 // F3 (paper Fig. 3): the EKL major-absorber kernel. Reproduces the figure's
 // two claims: (a) the EKL program is tiny compared to the loop
 // implementation ("This code snippet corresponds to 200 lines of Fortran");
-// (b) it compiles and computes the same values. Uses google-benchmark to
-// time the reference kernel, the EKL interpreter, and the lowered TeIL
-// interpreter across g-point counts.
-
-#include <benchmark/benchmark.h>
+// (b) it compiles and computes the same values. Times the reference kernel,
+// the EKL interpreter, and the lowered TeIL interpreter across g-point
+// counts (median of a fixed repetition count).
 
 #include <cstdio>
 #include <memory>
+#include <string>
+
+#include "median_time.hpp"
 
 #include "frontend/ekl_parser.hpp"
 #include "support/stats.hpp"
@@ -30,52 +31,18 @@ rr::Data data_for(std::int64_t ng) {
   return rr::make_data(config);
 }
 
-void BM_ReferenceKernel(benchmark::State &state) {
-  auto data = data_for(state.range(0));
-  for (auto _ : state) {
-    auto tau = rr::reference_tau(data);
-    benchmark::DoNotOptimize(tau);
-  }
+/// One row of the speed table: `label` timed by median_ms.
+template <typename Fn>
+void add_timing(everest::support::Table &table, const std::string &label,
+                Fn &&fn) {
+  char ms[32];
+  std::snprintf(ms, sizeof ms, "%.3f", everest::bench::median_ms(fn));
+  table.add_row({label, ms});
 }
-BENCHMARK(BM_ReferenceKernel)->Arg(8)->Arg(16)->Arg(32);
-
-void BM_EklInterpreter(benchmark::State &state) {
-  auto data = data_for(state.range(0));
-  auto module = everest::frontend::parse_ekl(rr::ekl_source());
-  auto bindings = rr::bindings(data);
-  for (auto _ : state) {
-    auto out = et::evaluate_ekl(*module.value(), bindings);
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_EklInterpreter)->Arg(8)->Arg(16);
-
-void BM_TeilInterpreter(benchmark::State &state) {
-  auto data = data_for(state.range(0));
-  auto module = everest::frontend::parse_ekl(rr::ekl_source());
-  auto bindings = rr::bindings(data);
-  auto teil = et::lower_ekl_to_teil(*module.value(), bindings);
-  for (auto _ : state) {
-    auto out = et::evaluate_teil(*teil.value(), bindings.inputs);
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_TeilInterpreter)->Arg(8)->Arg(16);
-
-void BM_FullCompile(benchmark::State &state) {
-  auto data = data_for(8);
-  auto bindings = rr::bindings(data);
-  for (auto _ : state) {
-    auto module = everest::frontend::parse_ekl(rr::ekl_source());
-    auto teil = et::lower_ekl_to_teil(*module.value(), bindings);
-    benchmark::DoNotOptimize(teil);
-  }
-}
-BENCHMARK(BM_FullCompile);
 
 }  // namespace
 
-int main(int argc, char **argv) {
+int main() {
   std::printf("== F3: EKL RRTMG kernel (Fig. 3) ==\n\n");
 
   // Code-size claim.
@@ -113,7 +80,31 @@ int main(int argc, char **argv) {
   }
   std::printf("%s\n", correctness.render().c_str());
 
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  everest::support::Table timing({"case", "median [ms]"});
+  for (std::int64_t ng : {8, 16, 32}) {
+    auto data = data_for(ng);
+    add_timing(timing, "ReferenceKernel/" + std::to_string(ng),
+               [&] { rr::reference_tau(data); });
+  }
+  auto module = everest::frontend::parse_ekl(rr::ekl_source());
+  for (std::int64_t ng : {8, 16}) {
+    auto data = data_for(ng);
+    auto bindings = rr::bindings(data);
+    add_timing(timing, "EklInterpreter/" + std::to_string(ng),
+               [&] { et::evaluate_ekl(*module.value(), bindings); });
+  }
+  for (std::int64_t ng : {8, 16}) {
+    auto data = data_for(ng);
+    auto bindings = rr::bindings(data);
+    auto teil = et::lower_ekl_to_teil(*module.value(), bindings);
+    add_timing(timing, "TeilInterpreter/" + std::to_string(ng),
+               [&] { et::evaluate_teil(*teil.value(), bindings.inputs); });
+  }
+  auto bindings = rr::bindings(data_for(8));
+  add_timing(timing, "FullCompile", [&] {
+    auto parsed = everest::frontend::parse_ekl(rr::ekl_source());
+    et::lower_ekl_to_teil(*parsed.value(), bindings);
+  });
+  std::printf("%s\n", timing.render().c_str());
   return 0;
 }

@@ -4,9 +4,9 @@
 // 1..16 and checking (a) bit-identical outputs and (b) throughput scaling of
 // the stateless stages.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
+
+#include "median_time.hpp"
 
 #include "frontend/condrust_parser.hpp"
 #include "runtime/dfg_executor.hpp"
@@ -36,21 +36,9 @@ Setup make_setup(int points) {
   return s;
 }
 
-void BM_MapMatchWorkers(benchmark::State &state) {
-  static Setup setup = make_setup(2000);
-  int workers = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    auto out = er::execute_dfg(*setup.module, setup.registry, setup.inputs,
-                               {.workers = workers});
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * 2000);
-}
-BENCHMARK(BM_MapMatchWorkers)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
-
 }  // namespace
 
-int main(int argc, char **argv) {
+int main() {
   std::printf("== F4: ConDRust map matching (Fig. 4) ==\n\n");
 
   auto setup = make_setup(1000);
@@ -89,7 +77,19 @@ int main(int argc, char **argv) {
   std::printf("determinism (ConDRust guarantee): %s\n\n",
               all_identical ? "HOLDS" : "VIOLATED");
 
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  constexpr int kPoints = 2000;
+  auto timed = make_setup(kPoints);
+  everest::support::Table timing({"case", "median [ms]", "points/s"});
+  for (int workers : {1, 2, 4, 8, 16}) {
+    double ms = everest::bench::median_ms([&] {
+      er::execute_dfg(*timed.module, timed.registry, timed.inputs,
+                      {.workers = workers});
+    });
+    char m[32], rate[32];
+    std::snprintf(m, sizeof m, "%.3f", ms);
+    std::snprintf(rate, sizeof rate, "%.0f", kPoints / (ms / 1000.0));
+    timing.add_row({"MapMatchWorkers/" + std::to_string(workers), m, rate});
+  }
+  std::printf("%s\n", timing.render().c_str());
   return all_identical ? 0 : 1;
 }

@@ -1,11 +1,9 @@
 #include "frontend/cfdlang_parser.hpp"
 
-#include <cctype>
-#include <cstdlib>
 #include <map>
 
 #include "ir/builder.hpp"
-#include "support/strings.hpp"
+#include "support/source_cursor.hpp"
 
 namespace everest::frontend {
 
@@ -15,8 +13,8 @@ using ir::Attribute;
 using ir::Operation;
 using ir::Type;
 using ir::Value;
-using support::Error;
 using support::Expected;
+using support::SourceCursor;
 
 /// Computes the result shape of cfdlang ops from operand shapes.
 std::vector<std::int64_t> dims_of(const Value *v) {
@@ -29,73 +27,66 @@ Type tensor_type(std::vector<std::int64_t> dims) {
   return Type::tensor(std::move(dims), Type::floating(64));
 }
 
+constexpr support::SourceLanguage kCfdlang{"cfdlang", "#", true};
+
 class CfdParser {
 public:
-  explicit CfdParser(std::string_view text) : text_(text) {}
+  explicit CfdParser(std::string_view text) : cur_(kCfdlang, text) {}
 
   Expected<std::shared_ptr<ir::Module>> run() {
     auto module = std::make_shared<ir::Module>();
-    std::string name = "cfd";
-    auto lines = support::split(text_, '\n');
-
-    // First pass finds the program name.
-    for (const auto &raw : lines) {
-      auto line = support::trim(raw);
-      if (support::starts_with(line, "program")) {
-        name = std::string(support::trim(line.substr(7)));
-        break;
-      }
-    }
-
-    Operation *program =
-        Operation::create(module->arena(), ir::Symbol("cfdlang.program"), {},
-                          {}, {{"sym_name", Attribute(name)}}, 1);
-    ir::Block &body = program->region(0).add_block();
-    module->body().attach(program);
+    program_ = Operation::create(module->arena(), ir::Symbol("cfdlang.program"),
+                                 {}, {}, {{"sym_name", Attribute("cfd")}}, 1);
+    ir::Block &body = program_->region(0).add_block();
+    module->body().attach(program_);
     builder_ = std::make_unique<ir::OpBuilder>(&body);
 
-    for (const auto &raw : lines) {
-      auto line = support::trim(raw);
-      if (line.empty() || line[0] == '#' || support::starts_with(line, "program"))
-        continue;
-      if (auto s = parse_line(line); !s) return s.error();
+    while (cur_.next_line()) {
+      if (auto s = parse_statement(); !s) return s.error();
+      if (!cur_.end_line()) return cur_.error("expected end of line");
     }
-    if (!saw_output_) return Error::invalid_argument("cfdlang: program has no output");
+    if (!saw_output_) return cur_.error("program has no output");
     return module;
   }
 
 private:
-  Expected<bool> parse_line(std::string_view line) {
-    if (support::starts_with(line, "input ")) {
-      auto colon = line.find(':');
-      if (colon == std::string_view::npos)
-        return Error::invalid_argument("cfdlang: input needs ': [dims]'");
-      std::string id(support::trim(line.substr(6, colon - 6)));
-      auto lb = line.find('[', colon);
-      auto rb = line.find(']', colon);
-      if (lb == std::string_view::npos || rb == std::string_view::npos)
-        return Error::invalid_argument("cfdlang: malformed shape for input " + id);
-      std::vector<std::int64_t> dims;
-      for (auto &tok : support::split(line.substr(lb + 1, rb - lb - 1), ',')) {
-        auto t = support::trim(tok);
-        if (t.empty()) continue;
-        dims.push_back(std::strtoll(std::string(t).c_str(), nullptr, 10));
-      }
-      symbols_[id] = builder_->create_value("cfdlang.input", {},
-                                            tensor_type(std::move(dims)),
-                                            {{"name", Attribute(id)}});
+  Expected<bool> parse_statement() {
+    const SourceCursor at = cur_;
+    if (cur_.consume_word("program")) {
+      std::string_view name = cur_.ident();
+      if (name.empty()) return cur_.error("expected program name");
+      if (saw_program_) return at.error("duplicate program statement");
+      program_->set_attr("sym_name", Attribute(std::string(name)));
+      saw_program_ = true;
       return true;
     }
 
-    bool is_output = support::starts_with(line, "output ");
-    if (is_output) line = support::trim(line.substr(7));
+    if (cur_.consume_word("input")) {
+      std::string_view id = cur_.ident();
+      if (id.empty()) return cur_.error("expected input name");
+      if (!cur_.consume(':')) return cur_.error("input needs ': [dims]'");
+      if (!cur_.consume('['))
+        return cur_.error("expected '[' before input shape");
+      std::vector<std::int64_t> dims;
+      if (!cur_.consume(']')) {
+        do {
+          auto d = cur_.integer();
+          if (!d) return d.error();
+          dims.push_back(*d);
+        } while (cur_.consume(','));
+        if (!cur_.consume(']'))
+          return cur_.error("expected ']' after input shape");
+      }
+      symbols_[std::string(id)] = builder_->create_value(
+          "cfdlang.input", {}, tensor_type(std::move(dims)),
+          {{"name", Attribute(std::string(id))}});
+      return true;
+    }
 
-    auto eq = line.find('=');
-    if (eq == std::string_view::npos)
-      return Error::invalid_argument("cfdlang: expected assignment: " + std::string(line));
-    std::string id(support::trim(line.substr(0, eq)));
-    pos_text_ = std::string(support::trim(line.substr(eq + 1)));
-    pos_ = 0;
+    bool is_output = cur_.consume_word("output");
+    std::string id(cur_.ident());
+    if (id.empty()) return cur_.error("expected assignment target");
+    if (!cur_.consume('=')) return cur_.error("expected '=' in assignment");
     auto value = parse_expr();
     if (!value) return value.error();
     symbols_[id] = *value;
@@ -107,57 +98,39 @@ private:
     return true;
   }
 
-  void skip_ws() {
-    while (pos_ < pos_text_.size() &&
-           std::isspace(static_cast<unsigned char>(pos_text_[pos_])))
-      ++pos_;
+  /// Reads "(e" for the calls whose first argument is an expression.
+  Expected<Value *> open_call() {
+    if (!cur_.consume('(')) return cur_.error("expected '('");
+    return parse_expr();
   }
 
-  std::string read_ident() {
-    skip_ws();
-    std::size_t start = pos_;
-    while (pos_ < pos_text_.size() &&
-           (std::isalnum(static_cast<unsigned char>(pos_text_[pos_])) ||
-            pos_text_[pos_] == '_'))
-      ++pos_;
-    return pos_text_.substr(start, pos_ - start);
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < pos_text_.size() && pos_text_[pos_] == c) {
-      ++pos_;
-      return true;
+  /// Reads ", i, j, ...)" closing a contract/transpose call.
+  Expected<std::vector<std::int64_t>> int_args() {
+    std::vector<std::int64_t> out;
+    while (cur_.consume(',')) {
+      auto i = cur_.integer();
+      if (!i) return i.error();
+      out.push_back(*i);
     }
-    return false;
-  }
-
-  Expected<std::int64_t> read_int() {
-    skip_ws();
-    std::size_t start = pos_;
-    while (pos_ < pos_text_.size() &&
-           std::isdigit(static_cast<unsigned char>(pos_text_[pos_])))
-      ++pos_;
-    if (start == pos_) return Error::invalid_argument("cfdlang: expected integer");
-    return static_cast<std::int64_t>(
-        std::strtoll(pos_text_.substr(start, pos_ - start).c_str(), nullptr, 10));
+    if (!cur_.consume(')')) return cur_.error("expected ')'");
+    return out;
   }
 
   Expected<Value *> parse_expr() {
-    std::string head = read_ident();
-    if (head.empty()) return Error::invalid_argument("cfdlang: expected expression");
+    const SourceCursor at = cur_;
+    std::string_view head = cur_.ident();
+    if (head.empty()) return cur_.error("expected expression");
 
     if (head == "outer" || head == "add") {
-      if (!consume('(')) return Error::invalid_argument("cfdlang: expected '('");
-      auto a = parse_expr();
+      auto a = open_call();
       if (!a) return a;
-      if (!consume(',')) return Error::invalid_argument("cfdlang: expected ','");
+      if (!cur_.consume(',')) return cur_.error("expected ','");
       auto b = parse_expr();
       if (!b) return b;
-      if (!consume(')')) return Error::invalid_argument("cfdlang: expected ')'");
+      if (!cur_.consume(')')) return cur_.error("expected ')'");
       if (head == "add") {
         if ((*a)->type() != (*b)->type())
-          return Error::invalid_argument("cfdlang: add requires matching shapes");
+          return at.error("add requires matching shapes");
         return builder_->create_value("cfdlang.add", {*a, *b}, (*a)->type());
       }
       auto da = dims_of(*a);
@@ -168,25 +141,19 @@ private:
     }
 
     if (head == "contract") {
-      if (!consume('(')) return Error::invalid_argument("cfdlang: expected '('");
-      auto e = parse_expr();
+      auto e = open_call();
       if (!e) return e;
-      std::vector<std::int64_t> pairs;
-      while (consume(',')) {
-        auto i = read_int();
-        if (!i) return i.error();
-        pairs.push_back(*i);
-      }
-      if (!consume(')')) return Error::invalid_argument("cfdlang: expected ')'");
-      if (pairs.size() % 2 != 0 || pairs.empty())
-        return Error::invalid_argument("cfdlang: contract needs dim pairs");
+      auto pairs = int_args();
+      if (!pairs) return pairs.error();
+      if (pairs->size() % 2 != 0 || pairs->empty())
+        return at.error("contract needs dim pairs");
       auto dims = dims_of(*e);
       std::vector<bool> drop(dims.size(), false);
-      for (std::size_t k = 0; k < pairs.size(); k += 2) {
-        auto i = static_cast<std::size_t>(pairs[k]);
-        auto j = static_cast<std::size_t>(pairs[k + 1]);
+      for (std::size_t k = 0; k < pairs->size(); k += 2) {
+        auto i = static_cast<std::size_t>((*pairs)[k]);
+        auto j = static_cast<std::size_t>((*pairs)[k + 1]);
         if (i >= dims.size() || j >= dims.size() || dims[i] != dims[j])
-          return Error::invalid_argument("cfdlang: invalid contraction dims");
+          return at.error("invalid contraction dims");
         drop[i] = drop[j] = true;
       }
       std::vector<std::int64_t> out;
@@ -195,42 +162,42 @@ private:
       }
       return builder_->create_value("cfdlang.contract", {*e},
                                     tensor_type(std::move(out)),
-                                    {{"pairs", Attribute::int_array(pairs)}});
+                                    {{"pairs", Attribute::int_array(*pairs)}});
     }
 
     if (head == "transpose") {
-      if (!consume('(')) return Error::invalid_argument("cfdlang: expected '('");
-      auto e = parse_expr();
+      auto e = open_call();
       if (!e) return e;
-      std::vector<std::int64_t> perm;
-      while (consume(',')) {
-        auto i = read_int();
-        if (!i) return i.error();
-        perm.push_back(*i);
-      }
-      if (!consume(')')) return Error::invalid_argument("cfdlang: expected ')'");
+      auto perm = int_args();
+      if (!perm) return perm.error();
       auto dims = dims_of(*e);
-      if (perm.size() != dims.size())
-        return Error::invalid_argument("cfdlang: transpose perm rank mismatch");
+      if (perm->size() != dims.size())
+        return at.error("transpose perm rank mismatch");
       std::vector<std::int64_t> out(dims.size());
-      for (std::size_t d = 0; d < perm.size(); ++d)
-        out[d] = dims[static_cast<std::size_t>(perm[d])];
+      std::vector<bool> seen(dims.size(), false);
+      for (std::size_t d = 0; d < perm->size(); ++d) {
+        auto p = static_cast<std::size_t>((*perm)[d]);
+        if (p >= dims.size() || seen[p])
+          return at.error("transpose perm is not a permutation");
+        seen[p] = true;
+        out[d] = dims[p];
+      }
       return builder_->create_value("cfdlang.transpose", {*e},
                                     tensor_type(std::move(out)),
-                                    {{"perm", Attribute::int_array(perm)}});
+                                    {{"perm", Attribute::int_array(*perm)}});
     }
 
     auto it = symbols_.find(head);
     if (it == symbols_.end())
-      return Error::invalid_argument("cfdlang: undefined name '" + head + "'");
+      return at.error("undefined name '" + std::string(head) + "'");
     return it->second;
   }
 
-  std::string_view text_;
+  SourceCursor cur_;
+  Operation *program_ = nullptr;
   std::unique_ptr<ir::OpBuilder> builder_;
-  std::map<std::string, Value *> symbols_;
-  std::string pos_text_;
-  std::size_t pos_ = 0;
+  std::map<std::string, Value *, std::less<>> symbols_;
+  bool saw_program_ = false;
   bool saw_output_ = false;
 };
 

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "ir/builder.hpp"
-#include "support/strings.hpp"
+#include "support/source_cursor.hpp"
 
 namespace everest::frontend {
 
@@ -14,156 +14,143 @@ using ir::Attribute;
 using ir::Operation;
 using ir::Type;
 using ir::Value;
-using support::Error;
 using support::Expected;
+using support::SourceCursor;
 
 Type stream_type(const std::string &elem = "f64") {
   return Type::custom("dfg", "stream", {elem});
 }
 
-/// Extracts "name(arg1, arg2)" -> {name, {arg1, arg2}}.
-struct Call {
-  std::string callee;
-  std::vector<std::string> args;
-};
+constexpr support::SourceLanguage kCondrust{"condrust", "//", true};
 
-Expected<Call> parse_call(std::string_view text) {
-  auto lp = text.find('(');
-  auto rp = text.rfind(')');
-  if (lp == std::string_view::npos || rp == std::string_view::npos || rp < lp)
-    return Error::invalid_argument("condrust: expected a call expression in '" +
-                       std::string(text) + "'");
-  Call call;
-  call.callee = std::string(support::trim(text.substr(0, lp)));
-  if (!support::is_identifier(call.callee))
-    return Error::invalid_argument("condrust: bad callee name '" + call.callee + "'");
-  auto body = text.substr(lp + 1, rp - lp - 1);
-  for (auto &tok : support::split(body, ',')) {
-    auto t = support::trim(tok);
-    if (!t.empty()) call.args.emplace_back(t);
+class CondrustParser {
+public:
+  explicit CondrustParser(std::string_view text) : cur_(kCondrust, text) {}
+
+  Expected<std::shared_ptr<ir::Module>> run() {
+    while (cur_.next_line()) {
+      if (auto s = parse_statement(); !s) return s.error();
+      if (!cur_.end_line()) return cur_.error("expected end of line");
+    }
+    if (!b_) return cur_.error("no fn found");
+    if (!saw_return_) return cur_.error("fn has no return");
+    return module_;
   }
-  return call;
-}
+
+private:
+  Expected<bool> parse_statement() {
+    if (cur_.consume("#[")) {
+      const SourceCursor at = cur_;
+      pending_placement_ = cur_.ident();
+      if (pending_placement_ != "cpu" && pending_placement_ != "fpga")
+        return at.error("unknown placement attribute");
+      if (!cur_.consume(']')) return cur_.error("unterminated attribute");
+      return true;
+    }
+    if (cur_.consume_word("fn")) return parse_signature();
+
+    if (!b_) return cur_.error("statement before fn signature");
+    if (cur_.consume('}')) return true;
+
+    if (cur_.consume_word("return")) {
+      const SourceCursor at = cur_;
+      std::string name(cur_.ident());
+      if (name.empty()) return cur_.error("expected a value to return");
+      cur_.consume(';');
+      auto it = symbols_.find(name);
+      if (it == symbols_.end())
+        return at.error("return of undefined value '" + name + "'");
+      b_->create("dfg.output", {it->second}, {}, {{"name", Attribute(name)}});
+      saw_return_ = true;
+      return true;
+    }
+
+    if (cur_.consume_word("let")) return parse_let();
+    return cur_.error("cannot parse statement");
+  }
+
+  /// fn <name>(<param>: <type>, ...) [-> <type>] [{]
+  Expected<bool> parse_signature() {
+    std::string_view fn_name = cur_.ident();
+    if (fn_name.empty()) return cur_.error("expected fn name");
+    if (!cur_.consume('(')) return cur_.error("malformed fn signature");
+    Operation *graph = Operation::create(
+        module_->arena(), ir::Symbol("dfg.graph"), {}, {},
+        {{"sym_name", Attribute(std::string(fn_name))}}, 1);
+    ir::Block &body = graph->region(0).add_block();
+    module_->body().attach(graph);
+    b_ = std::make_unique<ir::OpBuilder>(&body);
+
+    if (!cur_.consume(')')) {
+      do {
+        std::string pname(cur_.ident());
+        if (pname.empty()) return cur_.error("expected parameter name");
+        if (cur_.consume(':')) cur_.balanced_until(",");
+        symbols_[pname] = b_->create_value("dfg.input", {}, stream_type(),
+                                           {{"name", Attribute(pname)}});
+      } while (cur_.consume(','));
+      if (!cur_.consume(')')) return cur_.error("malformed fn signature");
+    }
+    if (cur_.consume("->")) cur_.balanced_until("{");
+    cur_.consume('{');
+    return true;
+  }
+
+  /// let [mut] <name>[: <type>] = [fold] <callee>(<arg>, ...)[;]
+  Expected<bool> parse_let() {
+    cur_.consume_word("mut");
+    const SourceCursor at = cur_;
+    std::string lhs(cur_.ident());
+    if (lhs.empty()) return cur_.error("expected a name after let");
+    if (cur_.consume(':')) cur_.balanced_until("=");
+    if (!cur_.consume('=')) return cur_.error("let without '='");
+    std::string_view callee = cur_.ident();
+    bool is_fold = callee == "fold" && cur_.peek() != '(';  // "fold f(x)"
+    if (is_fold) callee = cur_.ident();
+    if (callee.empty()) return cur_.error("expected a call expression");
+    if (!cur_.consume('(')) return cur_.error("expected '(' after callee");
+
+    std::vector<Value *> operands;
+    if (!cur_.consume(')')) {
+      do {
+        const SourceCursor arg_at = cur_;
+        std::string_view arg = cur_.ident();
+        if (arg.empty()) return cur_.error("expected an argument name");
+        auto it = symbols_.find(arg);
+        if (it == symbols_.end())
+          return arg_at.error("use of undefined value '" + std::string(arg) +
+                              "'");
+        operands.push_back(it->second);
+      } while (cur_.consume(','));
+      if (!cur_.consume(')')) return cur_.error("expected ')' after arguments");
+    }
+    cur_.consume(';');
+
+    ir::AttrDict attrs{{"callee", Attribute(std::string(callee))}};
+    if (!pending_placement_.empty()) {
+      attrs.set("placement", Attribute(std::string(pending_placement_)));
+      pending_placement_ = {};
+    }
+    Value *result = b_->create_value(is_fold ? "dfg.fold" : "dfg.node",
+                                     operands, stream_type(), std::move(attrs));
+    if (symbols_.count(lhs))
+      return at.error("rebinding of '" + lhs + "' (ownership violation)");
+    symbols_[lhs] = result;
+    return true;
+  }
+
+  SourceCursor cur_;
+  std::shared_ptr<ir::Module> module_ = std::make_shared<ir::Module>();
+  std::unique_ptr<ir::OpBuilder> b_;
+  std::map<std::string, Value *, std::less<>> symbols_;
+  std::string_view pending_placement_;
+  bool saw_return_ = false;
+};
 
 }  // namespace
 
 Expected<std::shared_ptr<ir::Module>> parse_condrust(std::string_view text) {
-  auto module = std::make_shared<ir::Module>();
-  std::map<std::string, Value *> symbols;
-
-  std::string fn_name = "graph";
-  std::string pending_placement;
-  ir::Block *body = nullptr;
-  std::unique_ptr<ir::OpBuilder> b;
-  bool saw_return = false;
-
-  for (const auto &raw : support::split(text, '\n')) {
-    auto line = support::trim(raw);
-    if (line.empty() || support::starts_with(line, "//")) continue;
-
-    if (support::starts_with(line, "#[")) {
-      auto close = line.find(']');
-      if (close == std::string_view::npos)
-        return Error::invalid_argument("condrust: unterminated attribute");
-      pending_placement = std::string(line.substr(2, close - 2));
-      if (pending_placement != "cpu" && pending_placement != "fpga")
-        return Error::unsupported("condrust: unknown placement attribute '" +
-                           pending_placement + "'");
-      continue;
-    }
-
-    if (support::starts_with(line, "fn ")) {
-      auto lp = line.find('(');
-      auto rp = line.find(')');
-      if (lp == std::string_view::npos || rp == std::string_view::npos)
-        return Error::invalid_argument("condrust: malformed fn signature");
-      fn_name = std::string(support::trim(line.substr(3, lp - 3)));
-      Operation *graph =
-          Operation::create(module->arena(), ir::Symbol("dfg.graph"), {}, {},
-                            {{"sym_name", Attribute(fn_name)}}, 1);
-      body = &graph->region(0).add_block();
-      module->body().attach(graph);
-      b = std::make_unique<ir::OpBuilder>(body);
-
-      // Parameters: "name: Stream<T>" separated by commas.
-      for (auto &param : support::split(line.substr(lp + 1, rp - lp - 1), ',')) {
-        auto p = support::trim(param);
-        if (p.empty()) continue;
-        auto colon = p.find(':');
-        std::string pname(
-            support::trim(colon == std::string_view::npos ? p
-                                                          : p.substr(0, colon)));
-        symbols[pname] = b->create_value("dfg.input", {}, stream_type(),
-                                         {{"name", Attribute(pname)}});
-      }
-      continue;
-    }
-
-    if (!b) return Error::invalid_argument("condrust: statement before fn signature");
-
-    if (line == "}") continue;
-
-    if (support::starts_with(line, "return ")) {
-      std::string name(support::trim(line.substr(7)));
-      if (!name.empty() && name.back() == ';') name.pop_back();
-      name = std::string(support::trim(name));
-      auto it = symbols.find(name);
-      if (it == symbols.end())
-        return Error::invalid_argument("condrust: return of undefined value '" + name + "'");
-      b->create("dfg.output", {it->second}, {}, {{"name", Attribute(name)}});
-      saw_return = true;
-      continue;
-    }
-
-    if (support::starts_with(line, "let ")) {
-      auto eq = line.find('=');
-      if (eq == std::string_view::npos)
-        return Error::invalid_argument("condrust: let without '='");
-      std::string lhs(support::trim(line.substr(4, eq - 4)));
-      // Strip "mut " and type ascription.
-      if (support::starts_with(lhs, "mut ")) lhs = lhs.substr(4);
-      auto colon = lhs.find(':');
-      if (colon != std::string::npos)
-        lhs = std::string(support::trim(lhs.substr(0, colon)));
-      std::string rhs(support::trim(line.substr(eq + 1)));
-      if (!rhs.empty() && rhs.back() == ';') rhs.pop_back();
-      rhs = std::string(support::trim(rhs));
-
-      bool is_fold = support::starts_with(rhs, "fold ");
-      if (is_fold) rhs = std::string(support::trim(rhs.substr(5)));
-
-      auto call = parse_call(rhs);
-      if (!call) return call.error();
-
-      std::vector<Value *> operands;
-      for (const auto &arg : call->args) {
-        auto it = symbols.find(arg);
-        if (it == symbols.end())
-          return Error::invalid_argument("condrust: use of undefined value '" + arg + "'");
-        operands.push_back(it->second);
-      }
-
-      ir::AttrDict attrs{{"callee", Attribute(call->callee)}};
-      if (!pending_placement.empty()) {
-        attrs.set("placement", Attribute(pending_placement));
-        pending_placement.clear();
-      }
-      Value *result =
-          b->create_value(is_fold ? "dfg.fold" : "dfg.node", operands,
-                          stream_type(), std::move(attrs));
-      if (symbols.count(lhs))
-        return Error::invalid_argument("condrust: rebinding of '" + lhs +
-                           "' (ownership violation)");
-      symbols[lhs] = result;
-      continue;
-    }
-
-    return Error::invalid_argument("condrust: cannot parse line: " + std::string(line));
-  }
-
-  if (!b) return Error::invalid_argument("condrust: no fn found");
-  if (!saw_return) return Error::invalid_argument("condrust: fn has no return");
-  return module;
+  return CondrustParser(text).run();
 }
 
 }  // namespace everest::frontend

@@ -1,210 +1,133 @@
 #include "frontend/ekl_parser.hpp"
 
 #include <cctype>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <vector>
 
 #include "dialects/ekl.hpp"
 #include "ir/builder.hpp"
+#include "support/source_cursor.hpp"
 #include "support/strings.hpp"
 
 namespace everest::frontend {
 
 namespace {
 
-using support::Error;
 using support::Expected;
+using support::SourceCursor;
 
-struct Token {
-  enum Kind { Ident, Number, Punct, End } kind;
-  std::string text;
-  std::size_t line;
-};
-
-Expected<std::vector<Token>> tokenize(std::string_view text) {
-  std::vector<Token> out;
-  std::size_t line = 1;
-  std::size_t i = 0;
-  while (i < text.size()) {
-    char c = text[i];
-    if (c == '#') {  // comment to end of line
-      while (i < text.size() && text[i] != '\n') ++i;
-      continue;
-    }
-    if (c == '\n') {
-      ++line;
-      ++i;
-      continue;
-    }
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      std::size_t start = i;
-      while (i < text.size() &&
-             (std::isalnum(static_cast<unsigned char>(text[i])) ||
-              text[i] == '_'))
-        ++i;
-      out.push_back({Token::Ident, std::string(text.substr(start, i - start)),
-                     line});
-      continue;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && i + 1 < text.size() &&
-         std::isdigit(static_cast<unsigned char>(text[i + 1])))) {
-      std::size_t start = i;
-      while (i < text.size() &&
-             (std::isdigit(static_cast<unsigned char>(text[i])) ||
-              text[i] == '.' || text[i] == 'e' || text[i] == 'E' ||
-              ((text[i] == '+' || text[i] == '-') &&
-               (text[i - 1] == 'e' || text[i - 1] == 'E'))))
-        ++i;
-      out.push_back({Token::Number, std::string(text.substr(start, i - start)),
-                     line});
-      continue;
-    }
-    // Two-character operators.
-    static const char *two_chars[] = {"<=", ">=", "==", "!="};
-    bool matched = false;
-    for (const char *op : two_chars) {
-      if (text.substr(i, 2) == op) {
-        out.push_back({Token::Punct, op, line});
-        i += 2;
-        matched = true;
-        break;
-      }
-    }
-    if (matched) continue;
-    static const std::string singles = "+-*/()[],=<>";
-    if (singles.find(c) != std::string::npos) {
-      out.push_back({Token::Punct, std::string(1, c), line});
-      ++i;
-      continue;
-    }
-    return Error::invalid_argument("ekl: unexpected character '" + std::string(1, c) +
-                       "' at line " + std::to_string(line));
-  }
-  out.push_back({Token::End, "", line});
-  return out;
-}
+constexpr support::SourceLanguage kEkl{"ekl", "#", false};
 
 class EklParser {
 public:
-  explicit EklParser(std::vector<Token> tokens)
-      : tokens_(std::move(tokens)) {}
+  explicit EklParser(std::string_view text) : cur_(kEkl, text) {}
 
   Expected<std::shared_ptr<ir::Module>> run() {
     auto module = std::make_shared<ir::Module>();
     std::string kernel_name = "kernel";
-    if (peek().kind == Token::Ident && peek().text == "kernel") {
-      next();
-      if (peek().kind != Token::Ident) return fail("expected kernel name");
-      kernel_name = next().text;
+    if (cur_.consume_word("kernel")) {
+      kernel_name = cur_.ident();
+      if (kernel_name.empty()) return cur_.error("expected kernel name");
     }
     ir::Operation &kernel =
         dialects::ekl::make_kernel(module->body(), kernel_name);
     builder_ = std::make_unique<ir::OpBuilder>(&kernel.region(0).front());
 
-    while (peek().kind != Token::End) {
+    while (!cur_.at_end()) {
       if (auto s = parse_statement(); !s) return s.error();
     }
-    if (outputs_ == 0)
-      return Error::invalid_argument("ekl: program declares no outputs");
+    if (outputs_ == 0) return cur_.error("program declares no outputs");
     return module;
   }
 
 private:
-  const Token &peek(std::size_t ahead = 0) const {
-    std::size_t i = pos_ + ahead;
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();
+  /// Reads `ident {',' ident}`, reporting `what` when a name is missing.
+  Expected<std::vector<std::string>> ident_list(std::string_view what) {
+    std::vector<std::string> out;
+    do {
+      std::string name(cur_.ident());
+      if (name.empty()) return cur_.error("expected " + std::string(what));
+      out.push_back(std::move(name));
+    } while (cur_.consume(','));
+    return out;
   }
-  Token next() { return tokens_[pos_ < tokens_.size() - 1 ? pos_++ : pos_]; }
-  bool consume_punct(const std::string &p) {
-    if (peek().kind == Token::Punct && peek().text == p) {
-      next();
-      return true;
-    }
-    return false;
-  }
-  Error fail(const std::string &msg) {
-    return Error::invalid_argument("ekl: " + msg + " at line " +
-                       std::to_string(peek().line) + " (near '" +
-                       peek().text + "')");
+
+  /// Reads `expr {',' expr}`.
+  Expected<std::vector<ir::Value *>> expr_list() {
+    std::vector<ir::Value *> out;
+    do {
+      auto e = parse_expr();
+      if (!e) return e.error();
+      out.push_back(*e);
+    } while (cur_.consume(','));
+    return out;
   }
 
   Expected<bool> parse_statement() {
-    if (peek().kind != Token::Ident) return fail("expected a statement");
-    const std::string &head = peek().text;
+    const SourceCursor at = cur_;
+    std::string head(cur_.ident());
+    if (head.empty()) return cur_.error("expected a statement");
 
     if (head == "index") {
-      next();
-      while (true) {
-        if (peek().kind != Token::Ident) return fail("expected index name");
-        indices_.insert(next().text);
-        if (!consume_punct(",")) break;
-      }
+      auto names = ident_list("index name");
+      if (!names) return names.error();
+      indices_.insert(names->begin(), names->end());
       return true;
     }
 
     if (head == "input") {
-      next();
-      if (peek().kind != Token::Ident) return fail("expected input name");
-      std::string name = next().text;
+      const SourceCursor name_at = cur_;
+      std::string name(cur_.ident());
+      if (name.empty()) return cur_.error("expected input name");
       std::vector<std::string> dims;
-      if (consume_punct("[")) {
-        while (true) {
-          if (peek().kind != Token::Ident)
-            return fail("expected index name in input dims");
-          std::string dim = next().text;
-          indices_.insert(dim);
-          dims.push_back(dim);
-          if (!consume_punct(",")) break;
-        }
-        if (!consume_punct("]")) return fail("expected ']' after input dims");
+      if (cur_.consume('[')) {
+        auto names = ident_list("index name in input dims");
+        if (!names) return names.error();
+        dims = std::move(*names);
+        indices_.insert(dims.begin(), dims.end());
+        if (!cur_.consume(']'))
+          return cur_.error("expected ']' after input dims");
       }
       if (symbols_.count(name))
-        return Error::invalid_argument("ekl: duplicate definition of '" + name + "'");
+        return name_at.error("duplicate definition of '" + name + "'");
       symbols_[name] = dialects::ekl::make_input(*builder_, name, dims);
       return true;
     }
 
     if (head == "output") {
-      next();
-      if (peek().kind != Token::Ident) return fail("expected output name");
-      std::string name = next().text;
+      const SourceCursor name_at = cur_;
+      std::string name(cur_.ident());
+      if (name.empty()) return cur_.error("expected output name");
       auto it = symbols_.find(name);
       if (it == symbols_.end())
-        return Error::invalid_argument("ekl: output of undefined name '" + name + "'");
+        return name_at.error("output of undefined name '" + name + "'");
       dialects::ekl::make_output(*builder_, name, it->second);
       ++outputs_;
       return true;
     }
 
     // Assignment: name = expr
-    std::string name = next().text;
-    if (!consume_punct("=")) return fail("expected '=' in assignment");
-    if (indices_.count(name))
-      return Error::invalid_argument("ekl: cannot assign to iteration index '" + name + "'");
+    if (!cur_.consume('=')) return cur_.error("expected '=' in assignment");
+    if (indices_.count(head))
+      return at.error("cannot assign to iteration index '" + head + "'");
     auto value = parse_expr();
     if (!value) return value.error();
-    if (symbols_.count(name))
-      return Error::invalid_argument("ekl: duplicate definition of '" + name + "'");
-    symbols_[name] = *value;
+    if (symbols_.count(head))
+      return at.error("duplicate definition of '" + head + "'");
+    symbols_[head] = *value;
     return true;
   }
 
   Expected<ir::Value *> parse_expr() {
     auto lhs = parse_term();
     if (!lhs) return lhs;
-    while (peek().kind == Token::Punct &&
-           (peek().text == "+" || peek().text == "-")) {
-      std::string op = next().text == "+" ? "add" : "sub";
+    for (char c = cur_.peek(); c == '+' || c == '-'; c = cur_.peek()) {
+      cur_.consume(c);
       auto rhs = parse_term();
       if (!rhs) return rhs;
-      lhs = dialects::ekl::make_binary(*builder_, op, *lhs, *rhs);
+      lhs = dialects::ekl::make_binary(*builder_, c == '+' ? "add" : "sub",
+                                       *lhs, *rhs);
     }
     return lhs;
   }
@@ -212,123 +135,113 @@ private:
   Expected<ir::Value *> parse_term() {
     auto lhs = parse_factor();
     if (!lhs) return lhs;
-    while (peek().kind == Token::Punct &&
-           (peek().text == "*" || peek().text == "/")) {
-      std::string op = next().text == "*" ? "mul" : "div";
+    for (char c = cur_.peek(); c == '*' || c == '/'; c = cur_.peek()) {
+      cur_.consume(c);
       auto rhs = parse_factor();
       if (!rhs) return rhs;
-      lhs = dialects::ekl::make_binary(*builder_, op, *lhs, *rhs);
+      lhs = dialects::ekl::make_binary(*builder_, c == '*' ? "mul" : "div",
+                                       *lhs, *rhs);
     }
     return lhs;
   }
 
   Expected<ir::Value *> parse_factor() {
-    if (peek().kind == Token::Number) {
-      return dialects::ekl::make_literal(*builder_,
-                                         std::strtod(next().text.c_str(), nullptr));
+    char c = cur_.peek();
+    if (std::isdigit(static_cast<unsigned char>(c)) || c == '.') {
+      auto number = cur_.number();
+      if (!number) return number.error();
+      return dialects::ekl::make_literal(*builder_, *number);
     }
 
-    if (consume_punct("(")) {
+    if (cur_.consume('(')) {
       auto inner = parse_expr();
       if (!inner) return inner;
-      if (!consume_punct(")")) return fail("expected ')'");
+      if (!cur_.consume(')')) return cur_.error("expected ')'");
       return inner;
     }
 
-    if (consume_punct("[")) {  // in-place construction
-      std::vector<ir::Value *> parts;
-      while (true) {
-        auto part = parse_expr();
-        if (!part) return part;
-        parts.push_back(*part);
-        if (!consume_punct(",")) break;
-      }
-      if (!consume_punct("]")) return fail("expected ']' after stack");
+    if (cur_.consume('[')) {  // in-place construction
+      auto parts = expr_list();
+      if (!parts) return parts.error();
+      if (!cur_.consume(']')) return cur_.error("expected ']' after stack");
       std::string new_index = "_s" + std::to_string(stack_counter_++);
       indices_.insert(new_index);
-      return dialects::ekl::make_stack(*builder_, parts, new_index);
+      return dialects::ekl::make_stack(*builder_, *parts, new_index);
     }
 
-    if (peek().kind != Token::Ident) return fail("expected expression");
+    const SourceCursor at = cur_;
+    std::string name(cur_.ident());
+    if (name.empty()) return cur_.error("expected expression");
 
-    if (peek().text == "sum") {
-      next();
-      if (!consume_punct("(")) return fail("expected '(' after sum");
-      std::vector<std::string> reduce;
-      while (true) {
-        if (peek().kind != Token::Ident) return fail("expected index in sum");
-        reduce.push_back(next().text);
-        if (!consume_punct(",")) break;
-      }
-      if (!consume_punct(")")) return fail("expected ')' after sum indices");
+    if (name == "sum") {
+      if (!cur_.consume('(')) return cur_.error("expected '(' after sum");
+      auto reduce = ident_list("index in sum");
+      if (!reduce) return reduce.error();
+      if (!cur_.consume(')'))
+        return cur_.error("expected ')' after sum indices");
       // sum binds the whole following term (product chain), matching the
       // paper's  tau = sum(dT) sum(dp) ... r * alpha * k  reading.
       auto body = parse_term();
       if (!body) return body;
-      return dialects::ekl::make_sum(*builder_, *body, reduce);
+      return dialects::ekl::make_sum(*builder_, *body, *reduce);
     }
 
-    if (peek().text == "select") {
-      next();
-      if (!consume_punct("(")) return fail("expected '(' after select");
+    if (name == "select") {
+      if (!cur_.consume('(')) return cur_.error("expected '(' after select");
       auto lhs = parse_expr();
       if (!lhs) return lhs;
-      if (peek().kind != Token::Punct) return fail("expected comparison");
-      std::string cmp = next().text;
-      static const std::map<std::string, std::string> predicates = {
-          {"<=", "le"}, {"<", "lt"}, {">=", "ge"},
+      static const std::pair<std::string_view, std::string> predicates[] = {
+          {"<=", "le"}, {"<", "lt"},  {">=", "ge"},
           {">", "gt"},  {"==", "eq"}, {"!=", "ne"}};
-      auto pit = predicates.find(cmp);
-      if (pit == predicates.end())
-        return fail("unknown comparison '" + cmp + "'");
+      const std::string *predicate = nullptr;
+      for (const auto &[punct, pred] : predicates) {
+        if (cur_.consume(punct)) {
+          predicate = &pred;
+          break;
+        }
+      }
+      if (!predicate) return cur_.error("expected comparison");
       auto rhs = parse_expr();
       if (!rhs) return rhs;
       ir::Value *cond =
-          dialects::ekl::make_compare(*builder_, pit->second, *lhs, *rhs);
-      if (!consume_punct(",")) return fail("expected ',' after condition");
+          dialects::ekl::make_compare(*builder_, *predicate, *lhs, *rhs);
+      if (!cur_.consume(',')) return cur_.error("expected ',' after condition");
       auto then_v = parse_expr();
       if (!then_v) return then_v;
-      if (!consume_punct(",")) return fail("expected ',' in select");
+      if (!cur_.consume(',')) return cur_.error("expected ',' in select");
       auto else_v = parse_expr();
       if (!else_v) return else_v;
-      if (!consume_punct(")")) return fail("expected ')' after select");
+      if (!cur_.consume(')')) return cur_.error("expected ')' after select");
       return dialects::ekl::make_select(*builder_, cond, *then_v, *else_v);
     }
 
     // Identifier: index reference, symbol reference, optionally subscripted.
-    std::string name = next().text;
     ir::Value *base = nullptr;
     if (indices_.count(name)) {
       base = dialects::ekl::make_index(*builder_, name);
     } else {
       auto it = symbols_.find(name);
       if (it == symbols_.end())
-        return Error::invalid_argument("ekl: use of undefined name '" + name +
-                           "' at line " + std::to_string(peek().line));
+        return at.error("use of undefined name '" + name + "'");
       base = it->second;
     }
 
-    if (consume_punct("[")) {
-      std::vector<ir::Value *> subs;
-      while (true) {
-        auto sub = parse_expr();
-        if (!sub) return sub;
-        subs.push_back(*sub);
-        if (!consume_punct(",")) break;
-      }
-      if (!consume_punct("]")) return fail("expected ']' after subscripts");
+    if (cur_.consume('[')) {
+      auto subs = expr_list();
+      if (!subs) return subs.error();
+      if (!cur_.consume(']'))
+        return cur_.error("expected ']' after subscripts");
       auto rank = dialects::ekl::result_indices(*base).size();
-      if (subs.size() > rank)
-        return Error::invalid_argument("ekl: '" + name + "' subscripted with " +
-                           std::to_string(subs.size()) + " exprs but has rank " +
-                           std::to_string(rank));
-      return dialects::ekl::make_gather(*builder_, base, subs);
+      if (subs->size() > rank)
+        return at.error("'" + name + "' subscripted with " +
+                        std::to_string(subs->size()) + " exprs but has rank " +
+                        std::to_string(rank));
+      return dialects::ekl::make_gather(*builder_, base, *subs);
     }
     return base;
   }
 
-  std::vector<Token> tokens_;
-  std::size_t pos_ = 0;
+  SourceCursor cur_;
   std::unique_ptr<ir::OpBuilder> builder_;
   std::map<std::string, ir::Value *> symbols_;
   std::set<std::string> indices_;
@@ -339,9 +252,7 @@ private:
 }  // namespace
 
 Expected<std::shared_ptr<ir::Module>> parse_ekl(std::string_view text) {
-  auto tokens = tokenize(text);
-  if (!tokens) return tokens.error();
-  return EklParser(std::move(*tokens)).run();
+  return EklParser(text).run();
 }
 
 std::size_t count_ekl_lines(std::string_view text) {

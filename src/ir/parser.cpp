@@ -1,214 +1,77 @@
 #include "ir/parser.hpp"
 
-#include <cctype>
 #include <map>
 #include <vector>
 
-#include "support/strings.hpp"
+#include "support/source_cursor.hpp"
 
 namespace everest::ir {
 
 namespace {
 
-using support::Error;
 using support::Expected;
+using support::SourceCursor;
 
-/// Character cursor with the small set of lexical helpers the generic form
-/// needs.
-class Cursor {
-public:
-  explicit Cursor(std::string_view text) : text_(text) {}
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-
-  [[nodiscard]] char peek() {
-    skip_ws();
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-
-  [[nodiscard]] bool at_end() {
-    skip_ws();
-    return pos_ >= text_.size();
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool consume_word(std::string_view word) {
-    skip_ws();
-    if (text_.substr(pos_, word.size()) == word) {
-      std::size_t after = pos_ + word.size();
-      if (after >= text_.size() ||
-          !std::isalnum(static_cast<unsigned char>(text_[after]))) {
-        pos_ = after;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  bool consume_arrow() {
-    skip_ws();
-    if (text_.substr(pos_, 2) == "->") {
-      pos_ += 2;
-      return true;
-    }
-    return false;
-  }
-
-  /// Reads an identifier-like token (%name, ^name, or bare ident).
-  Expected<std::string> read_name(char sigil) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != sigil)
-      return fail(std::string("expected '") + sigil + "'");
-    std::size_t start = pos_++;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '.')
-        ++pos_;
-      else
-        break;
-    }
-    return std::string(text_.substr(start, pos_ - start));
-  }
-
-  Expected<std::string> read_quoted() {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != '"')
-      return fail("expected quoted string");
-    ++pos_;
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\' && pos_ + 1 < text_.size()) ++pos_;
-      out += text_[pos_++];
-    }
-    if (pos_ >= text_.size()) return fail("unterminated string");
-    ++pos_;
-    return out;
-  }
-
-  /// Reads balanced text from `open` to matching `close`, excluding the
-  /// delimiters. Respects quoted strings.
-  Expected<std::string> read_balanced(char open, char close) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != open)
-      return fail(std::string("expected '") + open + "'");
-    ++pos_;
-    std::size_t start = pos_;
-    int depth = 1;
-    bool in_string = false;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (in_string) {
-        if (c == '\\') ++pos_;
-        else if (c == '"') in_string = false;
-      } else if (c == '"') {
-        in_string = true;
-      } else if (c == open) {
-        ++depth;
-      } else if (c == close) {
-        if (--depth == 0) {
-          std::string out(text_.substr(start, pos_ - start));
-          ++pos_;
-          return out;
-        }
-      }
-      ++pos_;
-    }
-    return fail("unbalanced delimiters");
-  }
-
-  /// Reads one type token: either "(...)"-grouped or a single type possibly
-  /// containing balanced <>.
-  Expected<std::string> read_type_token() {
-    skip_ws();
-    std::size_t start = pos_;
-    int angle = 0;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c == '<') ++angle;
-      else if (c == '>') --angle;
-      else if (angle == 0 &&
-               (std::isspace(static_cast<unsigned char>(c)) || c == ',' ||
-                c == ')' || c == '}'))
-        break;
-      ++pos_;
-    }
-    if (pos_ == start) return fail("expected a type");
-    return std::string(text_.substr(start, pos_ - start));
-  }
-
-  Error fail(const std::string &msg) {
-    // Report a short context window around the failure position.
-    std::size_t lo = pos_ > 24 ? pos_ - 24 : 0;
-    std::string ctx(text_.substr(lo, 48));
-    return Error::make("ir parser: " + msg + " near '...'" + ctx + "'");
-  }
-
-private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
+constexpr support::SourceLanguage kIr{"ir", "", false};
 
 class ModuleParser {
 public:
-  explicit ModuleParser(std::string_view text) : cur_(text) {}
+  explicit ModuleParser(std::string_view text) : cur_(kIr, text) {}
 
   Expected<std::shared_ptr<Module>> run() {
     auto module = std::make_shared<Module>();
-    if (!cur_.consume_word("module")) return fail("expected 'module'");
-    if (!cur_.consume('{')) return fail("expected '{' after module");
+    if (!cur_.consume_word("module")) return cur_.error("expected 'module'");
+    if (!cur_.consume('{')) return cur_.error("expected '{' after module");
     while (cur_.peek() != '}') {
       if (auto s = parse_op(module->body()); !s) return s.error();
     }
     cur_.consume('}');
-    if (!cur_.at_end()) return fail("trailing text after module");
+    if (!cur_.at_end()) return cur_.error("trailing text after module");
     return module;
   }
 
 private:
-  Error fail(const std::string &msg) { return cur_.fail(msg); }
+  /// Parses one type token (types never contain whitespace).
+  Expected<Type> parse_type() {
+    const SourceCursor at = cur_;
+    std::string_view token = cur_.balanced_until(" ,");
+    if (token.empty()) return at.error("expected a type");
+    auto t = Type::parse(token);
+    if (!t) return at.error(t.error().message);
+    return t;
+  }
 
   Expected<bool> parse_op(Block &block) {
     // Optional results: "%0, %1 = ".
-    std::vector<std::string> result_names;
+    std::vector<std::string_view> result_names;
     if (cur_.peek() == '%') {
       while (true) {
-        auto name = cur_.read_name('%');
+        auto name = cur_.sigil_name('%');
         if (!name) return name.error();
         result_names.push_back(*name);
         if (!cur_.consume(',')) break;
       }
-      if (!cur_.consume('=')) return fail("expected '=' after results");
+      if (!cur_.consume('=')) return cur_.error("expected '=' after results");
     }
 
-    auto op_name = cur_.read_quoted();
+    auto op_name = cur_.quoted();
     if (!op_name) return op_name.error();
 
-    if (!cur_.consume('(')) return fail("expected '(' for operands");
+    if (!cur_.consume('(')) return cur_.error("expected '(' for operands");
     std::vector<Value *> operands;
     if (cur_.peek() != ')') {
       while (true) {
-        auto name = cur_.read_name('%');
+        const SourceCursor at = cur_;
+        auto name = cur_.sigil_name('%');
         if (!name) return name.error();
         auto it = values_.find(*name);
         if (it == values_.end())
-          return Error::make("ir parser: use of undefined value " + *name);
+          return at.error("use of undefined value " + std::string(*name));
         operands.push_back(it->second);
         if (!cur_.consume(',')) break;
       }
     }
-    if (!cur_.consume(')')) return fail("expected ')' after operands");
+    if (!cur_.consume(')')) return cur_.error("expected ')' after operands");
 
     // Create the op now (result types are appended after parsing the
     // signature via add_result); regions are parsed directly into it. The
@@ -220,47 +83,64 @@ private:
     for (Value *v : operands) op->append_operand(v);
     block.attach(op);
 
-    // Optional regions: " ({ ... }, { ... })".
-    if (cur_.peek() == '(') {
-      // Could also be nothing else: in generic form '(' here always means
-      // regions since the signature starts with ':'.
-      cur_.consume('(');
+    // Optional regions: " ({ ... }, { ... })". In generic form '(' here
+    // always means regions since the signature starts with ':'.
+    if (cur_.consume('(')) {
       while (true) {
         if (auto s = parse_region(op->add_region()); !s) return s.error();
         if (!cur_.consume(',')) break;
       }
-      if (!cur_.consume(')')) return fail("expected ')' after regions");
+      if (!cur_.consume(')')) return cur_.error("expected ')' after regions");
     }
 
-    // Optional attribute dictionary.
-    if (cur_.peek() == '{') {
-      auto body = cur_.read_balanced('{', '}');
-      if (!body) return body.error();
-      if (auto s = parse_attr_dict(*body, *op); !s.is_ok())
-        return Error::make(s.message());
+    // Optional attribute dictionary: "{key = value, unit_key}".
+    if (cur_.consume('{') && !cur_.consume('}')) {
+      do {
+        const SourceCursor at = cur_;
+        std::string_view key = cur_.balanced_until("=,");
+        if (key.empty()) return at.error("expected an attribute name");
+        Attribute value;  // a bare key is a unit attribute
+        if (cur_.consume('=')) {
+          const SourceCursor value_at = cur_;
+          auto parsed = Attribute::parse(cur_.balanced_until(","));
+          if (!parsed) return value_at.error(parsed.error().message);
+          value = std::move(*parsed);
+        }
+        op->set_attr(std::string(key), std::move(value));
+      } while (cur_.consume(','));
+      if (!cur_.consume('}'))
+        return cur_.error("expected '}' after attributes");
     }
 
-    if (!cur_.consume(':')) return fail("expected ':' before signature");
-    auto operand_types = cur_.read_balanced('(', ')');
-    if (!operand_types) return operand_types.error();
-    if (!cur_.consume_arrow()) return fail("expected '->'");
+    // Operand types are implied by the operands; they are skipped.
+    if (!cur_.consume(':')) return cur_.error("expected ':' before signature");
+    if (!cur_.consume('(')) return cur_.error("expected '(' for operand types");
+    cur_.balanced_until("");
+    if (!cur_.consume(')'))
+      return cur_.error("expected ')' after operand types");
+    if (!cur_.consume("->")) return cur_.error("expected '->'");
 
+    const SourceCursor results_at = cur_;
     std::vector<Type> result_types;
-    if (cur_.peek() == '(') {
-      auto grouped = cur_.read_balanced('(', ')');
-      if (!grouped) return grouped.error();
-      if (auto s = parse_type_list(*grouped, result_types); !s.is_ok())
-        return Error::make(s.message());
+    if (cur_.consume('(')) {
+      if (!cur_.consume(')')) {
+        do {
+          auto t = parse_type();
+          if (!t) return t.error();
+          result_types.push_back(std::move(*t));
+        } while (cur_.consume(','));
+        if (!cur_.consume(')'))
+          return cur_.error("expected ')' after result types");
+      }
     } else {
-      auto token = cur_.read_type_token();
-      if (!token) return token.error();
-      auto t = Type::parse(*token);
+      auto t = parse_type();
       if (!t) return t.error();
       result_types.push_back(std::move(*t));
     }
 
     if (result_types.size() != result_names.size())
-      return fail("result name/type count mismatch for op " + *op_name);
+      return results_at.error("result name/type count mismatch for op " +
+                              *op_name);
 
     // Results become known only now; append them in place (arena values are
     // pointer-stable, so no rebuild or region shuffling is needed).
@@ -270,7 +150,7 @@ private:
   }
 
   Expected<bool> parse_region(Region &region) {
-    if (!cur_.consume('{')) return fail("expected '{' for region");
+    if (!cur_.consume('{')) return cur_.error("expected '{' for region");
     while (cur_.peek() != '}') {
       if (cur_.peek() == '^') {
         if (auto s = parse_block_header(region); !s) return s;
@@ -284,102 +164,28 @@ private:
   }
 
   Expected<bool> parse_block_header(Region &region) {
-    auto label = cur_.read_name('^');
+    auto label = cur_.sigil_name('^');
     if (!label) return label.error();
     Block &block = region.add_block();
-    if (cur_.peek() == '(') {
-      cur_.consume('(');
+    if (cur_.consume('(')) {
       while (cur_.peek() != ')') {
-        auto name = cur_.read_name('%');
+        auto name = cur_.sigil_name('%');
         if (!name) return name.error();
-        if (!cur_.consume(':')) return fail("expected ':' after block arg");
-        auto token = cur_.read_type_token();
-        if (!token) return token.error();
-        auto t = Type::parse(*token);
+        if (!cur_.consume(':'))
+          return cur_.error("expected ':' after block arg");
+        auto t = parse_type();
         if (!t) return t.error();
-        Value &arg = block.add_argument(std::move(*t));
-        values_[*name] = &arg;
+        values_[*name] = &block.add_argument(std::move(*t));
         cur_.consume(',');
       }
       cur_.consume(')');
     }
-    if (!cur_.consume(':')) return fail("expected ':' after block label");
+    if (!cur_.consume(':')) return cur_.error("expected ':' after block label");
     return true;
   }
 
-  static support::Status parse_type_list(std::string_view body,
-                                         std::vector<Type> &out) {
-    body = support::trim(body);
-    if (body.empty()) return support::Status::ok();
-    int angle = 0;
-    std::string cur;
-    auto flush = [&]() -> support::Status {
-      auto t = Type::parse(cur);
-      if (!t) return support::Status::failure(t.error().message);
-      out.push_back(std::move(*t));
-      cur.clear();
-      return support::Status::ok();
-    };
-    for (char c : body) {
-      if (c == '<') ++angle;
-      if (c == '>') --angle;
-      if (c == ',' && angle == 0) {
-        if (auto s = flush(); !s.is_ok()) return s;
-      } else {
-        cur += c;
-      }
-    }
-    if (!support::trim(cur).empty()) return flush();
-    return support::Status::ok();
-  }
-
-  static support::Status parse_attr_dict(std::string_view body, Operation &op) {
-    // Split at top-level commas respecting [], <>, and strings.
-    std::vector<std::string> items;
-    int depth = 0;
-    bool in_string = false;
-    std::string cur;
-    for (std::size_t i = 0; i < body.size(); ++i) {
-      char c = body[i];
-      if (in_string) {
-        cur += c;
-        if (c == '\\' && i + 1 < body.size()) cur += body[++i];
-        else if (c == '"') in_string = false;
-        continue;
-      }
-      if (c == '"') {
-        in_string = true;
-        cur += c;
-        continue;
-      }
-      if (c == '[' || c == '<' || c == '{') ++depth;
-      if (c == ']' || c == '>' || c == '}') --depth;
-      if (c == ',' && depth == 0) {
-        items.push_back(cur);
-        cur.clear();
-      } else {
-        cur += c;
-      }
-    }
-    if (!support::trim(cur).empty()) items.push_back(cur);
-
-    for (const auto &item : items) {
-      auto eq = item.find('=');
-      if (eq == std::string::npos) {
-        // Unit attribute: bare key.
-        op.set_attr(std::string(support::trim(item)), Attribute());
-        continue;
-      }
-      std::string key(support::trim(item.substr(0, eq)));
-      auto value = Attribute::parse(item.substr(eq + 1));
-      if (!value) return support::Status::failure(value.error().message);
-      op.set_attr(key, std::move(*value));
-    }
-    return support::Status::ok();
-  }
-
-  Cursor cur_;
-  std::map<std::string, Value *> values_;
+  SourceCursor cur_;
+  std::map<std::string_view, Value *> values_;
 };
 
 }  // namespace

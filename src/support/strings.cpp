@@ -39,33 +39,6 @@ bool starts_with(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
 }
 
-bool ends_with(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() &&
-         text.substr(text.size() - suffix.size()) == suffix;
-}
-
-std::string replace_all(std::string text, std::string_view from,
-                        std::string_view to) {
-  if (from.empty()) return text;
-  std::size_t pos = 0;
-  while ((pos = text.find(from, pos)) != std::string::npos) {
-    text.replace(pos, from.size(), to);
-    pos += to.size();
-  }
-  return text;
-}
-
-bool is_identifier(std::string_view text) {
-  if (text.empty()) return false;
-  auto head = static_cast<unsigned char>(text[0]);
-  if (!std::isalpha(head) && head != '_') return false;
-  for (char c : text.substr(1)) {
-    auto u = static_cast<unsigned char>(c);
-    if (!std::isalnum(u) && u != '_' && u != '.') return false;
-  }
-  return true;
-}
-
 std::string format_double(double value) {
   std::array<char, 64> buf{};
   std::snprintf(buf.data(), buf.size(), "%.6g", value);

@@ -32,16 +32,8 @@ std::string_view trim(std::string_view text);
 /// Joins `parts` with `sep` between elements.
 std::string join(const std::vector<std::string> &parts, std::string_view sep);
 
-/// True if `text` starts with / ends with the given prefix/suffix.
+/// True if `text` starts with the given prefix.
 bool starts_with(std::string_view text, std::string_view prefix);
-bool ends_with(std::string_view text, std::string_view suffix);
-
-/// Replaces every occurrence of `from` with `to`.
-std::string replace_all(std::string text, std::string_view from,
-                        std::string_view to);
-
-/// True if `text` is a valid identifier ([A-Za-z_][A-Za-z0-9_.]*).
-bool is_identifier(std::string_view text);
 
 /// Formats a double compactly (no trailing zeros, max 6 significant digits).
 std::string format_double(double value);

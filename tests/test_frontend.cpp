@@ -8,6 +8,7 @@
 #include "frontend/condrust_parser.hpp"
 #include "frontend/ekl_parser.hpp"
 #include "frontend/onnx_import.hpp"
+#include "ir/parser.hpp"
 
 namespace ef = everest::frontend;
 namespace ei = everest::ir;
@@ -225,6 +226,194 @@ fn f(xs: Stream<f64>) -> Stream<f64> {
     let a = g(xs);
 }
 )").has_value());  // no return
+}
+
+// ------------------------------------------------ located rejections
+
+namespace {
+
+everest::support::Expected<std::shared_ptr<ei::Module>> parse_as(
+    std::string_view lang, std::string_view text) {
+  if (lang == "ekl") return ef::parse_ekl(text);
+  if (lang == "cfdlang") return ef::parse_cfdlang(text);
+  if (lang == "condrust") return ef::parse_condrust(text);
+  return ei::parse_module(text);
+}
+
+struct BadInput {
+  const char *lang;
+  const char *text;
+  const char *loc;   // "<line>:<col>" the message must name
+  const char *what;  // the message fragment naming the error site
+};
+
+// One bad input per error site of the four text parsers (and of the shared
+// cursor's token readers).
+const BadInput kBadInputs[] = {
+    // EKL
+    {"ekl", "kernel\n", "2:1", "expected kernel name"},
+    {"ekl", "kernel k\nindex i\n", "3:1", "program declares no outputs"},
+    {"ekl", "kernel k\nindex i, 3\n", "2:10", "expected index name"},
+    {"ekl", "kernel k\n+ b\n", "2:1", "expected a statement"},
+    {"ekl", "kernel k\ninput [i]\n", "2:7", "expected input name"},
+    {"ekl", "kernel k\ninput a[1]\n", "2:9", "expected index name in input dims"},
+    {"ekl", "kernel k\ninput a[i j]\n", "2:11", "expected ']' after input dims"},
+    {"ekl", "kernel k\ninput a\ninput a\n", "3:7", "duplicate definition of 'a'"},
+    {"ekl", "kernel k\noutput 5\n", "2:8", "expected output name"},
+    {"ekl", "kernel k\noutput b\n", "2:8", "output of undefined name 'b'"},
+    {"ekl", "kernel k\nb + 1\n", "2:3", "expected '=' in assignment"},
+    {"ekl", "kernel k\nindex i\ni = 1\n", "3:1", "cannot assign to iteration index 'i'"},
+    {"ekl", "kernel k\nb = 1\nb = 2\n", "3:1", "duplicate definition of 'b'"},
+    {"ekl", "kernel k\nb = (1 + 2]\n", "2:11", "expected ')'"},
+    {"ekl", "kernel k\nb = [1, 2)\n", "2:10", "expected ']' after stack"},
+    {"ekl", "kernel k\nb = *\n", "2:5", "expected expression"},
+    {"ekl", "kernel k\nindex i\nb = sum i 2\n", "3:9", "expected '(' after sum"},
+    {"ekl", "kernel k\nb = sum(1) 2\n", "2:9", "expected index in sum"},
+    {"ekl", "kernel k\nindex i\nb = sum(i] 2\n", "3:10", "expected ')' after sum indices"},
+    {"ekl", "kernel k\nb = select 1\n", "2:12", "expected '(' after select"},
+    {"ekl", "kernel k\nb = select(1, 2, 3)\n", "2:13", "expected comparison"},
+    {"ekl", "kernel k\nb = select(1 < 2 3, 4)\n", "2:18", "expected ',' after condition"},
+    {"ekl", "kernel k\nb = select(1 < 2, 3 4)\n", "2:21", "expected ',' in select"},
+    {"ekl", "kernel k\nb = select(1 < 2, 3, 4]\n", "2:23", "expected ')' after select"},
+    {"ekl", "kernel k\nb = nope\noutput b\n", "2:5", "use of undefined name 'nope'"},
+    {"ekl", "kernel k\nindex i\ninput a[i]\nb = a[i)\n", "4:8", "expected ']' after subscripts"},
+    {"ekl", "kernel k\nindex i, j\ninput a[i]\nb = a[i, j]\n", "4:5", "subscripted with 2 exprs but has rank 1"},
+    {"ekl", "kernel k\nb = 1.2.3\noutput b\n", "2:5", "malformed number '1.2.3'"},
+    {"ekl", "kernel k\nb = .x\n", "2:5", "expected a number"},
+    // CFDlang
+    {"cfdlang", "program p\ninput A : [2] junk\n", "2:15", "expected end of line"},
+    {"cfdlang", "program p\ninput A : [2]\n", "3:1", "program has no output"},
+    {"cfdlang", "program = A\n", "1:9", "expected program name"},
+    {"cfdlang", "program p\nprogram q\n", "2:1", "duplicate program statement"},
+    {"cfdlang", "input : [2]\n", "1:7", "expected input name"},
+    {"cfdlang", "input A [2]\n", "1:9", "input needs ': [dims]'"},
+    {"cfdlang", "input A : 2\n", "1:11", "expected '[' before input shape"},
+    {"cfdlang", "input A : [abc, 3]\n", "1:12", "expected an integer"},
+    {"cfdlang", "input A : [99999999999999999999]\n", "1:12", "integer out of range"},
+    {"cfdlang", "input A : [2 3]\n", "1:14", "expected ']' after input shape"},
+    {"cfdlang", "output = A\n", "1:8", "expected assignment target"},
+    {"cfdlang", "input A : [2]\nB A\n", "2:3", "expected '=' in assignment"},
+    {"cfdlang", "input A : [2]\noutput B = add A, A\n", "2:16", "expected '('"},
+    {"cfdlang", "input A : [2, 2]\noutput B = transpose(A, 1, 0]\n", "2:29", "expected ')'"},
+    {"cfdlang", "output B = 3\n", "1:12", "expected expression"},
+    {"cfdlang", "input A : [2]\noutput B = add(A A)\n", "2:18", "expected ','"},
+    {"cfdlang", "input A : [2]\noutput B = add(A, A]\n", "2:20", "expected ')'"},
+    {"cfdlang", "input A : [2]\ninput B : [3]\noutput C = add(A, B)\n", "3:12", "add requires matching shapes"},
+    {"cfdlang", "input A : [2, 2]\noutput C = contract(A, 0)\n", "2:12", "contract needs dim pairs"},
+    {"cfdlang", "input A : [2, 3]\noutput C = contract(A, 0, 1)\n", "2:12", "invalid contraction dims"},
+    {"cfdlang", "input A : [2, 3]\noutput B = transpose(A, 0)\n", "2:12", "transpose perm rank mismatch"},
+    {"cfdlang", "input A : [2, 3]\noutput B = transpose(A, 0, 5)\n", "2:12", "transpose perm is not a permutation"},
+    {"cfdlang", "output C = nope\n", "1:12", "undefined name 'nope'"},
+    // ConDRust
+    {"condrust", "fn f(xs: S) -> S {\n    let a = g(xs); junk\n", "2:20", "expected end of line"},
+    {"condrust", "// only a comment\n", "2:1", "no fn found"},
+    {"condrust", "fn f(xs: S) -> S {\n    let a = g(xs);\n}\n", "4:1", "fn has no return"},
+    {"condrust", "#[gpu]\nfn f(xs: S) -> S {\n", "1:3", "unknown placement attribute"},
+    {"condrust", "#[fpga\n", "1:7", "unterminated attribute"},
+    {"condrust", "let a = f(x);\n", "1:1", "statement before fn signature"},
+    {"condrust", "fn f(xs: S) -> S {\n    return;\n", "2:11", "expected a value to return"},
+    {"condrust", "fn f(xs: S) -> S {\n    return nope;\n", "2:12", "return of undefined value 'nope'"},
+    {"condrust", "fn f(xs: S) -> S {\n    xs = 1;\n", "2:5", "cannot parse statement"},
+    {"condrust", "fn (xs: S)\n", "1:4", "expected fn name"},
+    {"condrust", "fn f xs\n", "1:6", "malformed fn signature"},
+    {"condrust", "fn f(: S)\n", "1:6", "expected parameter name"},
+    {"condrust", "fn f(xs: S\n", "1:11", "malformed fn signature"},
+    {"condrust", "fn f(xs: S) -> S {\n    let = g(xs);\n", "2:9", "expected a name after let"},
+    {"condrust", "fn f(xs: S) -> S {\n    let a g(xs);\n", "2:11", "let without '='"},
+    {"condrust", "fn f(xs: S) -> S {\n    let a = (xs);\n", "2:13", "expected a call expression"},
+    {"condrust", "fn f(xs: S) -> S {\n    let a = g xs;\n", "2:15", "expected '(' after callee"},
+    {"condrust", "fn f(xs: S) -> S {\n    let a = g(1);\n", "2:15", "expected an argument name"},
+    {"condrust", "fn f(xs: S) -> S {\n    let a = g(nope);\n", "2:15", "use of undefined value 'nope'"},
+    {"condrust", "fn f(xs: S) -> S {\n    let a = g(xs];\n", "2:17", "expected ')' after arguments"},
+    {"condrust", "fn f(xs: S) -> S {\n    let a = g(xs);\n    let a = h(a);\n", "3:9", "rebinding of 'a'"},
+    // Textual IR
+    {"ir", "modul {}", "1:1", "expected 'module'"},
+    {"ir", "module }", "1:8", "expected '{' after module"},
+    {"ir", "module {\n}\nextra\n", "3:1", "trailing text after module"},
+    {"ir", "module {\n  %0 = \"x.y\"() : () -> \n}\n", "3:1", "expected a type"},
+    {"ir", "module {\n  %0 = \"x.y\"() : () -> q42\n}\n", "2:24", "type:"},
+    {"ir", "module {\n  %0 \"x.y\"() : () -> f64\n}\n", "2:6", "expected '=' after results"},
+    {"ir", "module {\n  x.y() : () -> ()\n}\n", "2:3", "expected quoted string"},
+    {"ir", "module {\n  \"x.y\n}\n", "2:3", "unterminated string"},
+    {"ir", "module {\n  \"x.y\" : () -> ()\n}\n", "2:9", "expected '(' for operands"},
+    {"ir", "module {\n  \"x.y\"(1) : () -> ()\n}\n", "2:9", "expected '%'"},
+    {"ir", "module {\n  \"x.y\"(%9) : (f64) -> ()\n}\n", "2:9", "use of undefined value %9"},
+    {"ir", "module {\n  %0 = \"x.y\"() : () -> f64\n  \"x.z\"(%0 %0) : (f64) -> ()\n}\n", "3:12", "expected ')' after operands"},
+    {"ir", "module {\n  \"x.y\"() ({\n  } {\n  }) : () -> ()\n}\n", "3:5", "expected ')' after regions"},
+    {"ir", "module {\n  \"x.y\"() (x) : () -> ()\n}\n", "2:12", "expected '{' for region"},
+    {"ir", "module {\n  \"x.y\"() {= 1} : () -> ()\n}\n", "2:12", "expected an attribute name"},
+    {"ir", "module {\n  \"x.y\"() {a = } : () -> ()\n}\n", "2:16", "attribute:"},
+    {"ir", "module {\n  \"x.y\"() {a = 1] : () -> ()\n}\n", "2:17", "expected '}' after attributes"},
+    {"ir", "module {\n  \"x.y\"() -> ()\n}\n", "2:11", "expected ':' before signature"},
+    {"ir", "module {\n  \"x.y\"() : -> ()\n}\n", "2:13", "expected '(' for operand types"},
+    {"ir", "module {\n  \"x.y\"() : (f64] -> ()\n}\n", "2:17", "expected ')' after operand types"},
+    {"ir", "module {\n  \"x.y\"() : () ()\n}\n", "2:16", "expected '->'"},
+    {"ir", "module {\n  %0, %1 = \"x.y\"() : () -> (f64 f64)\n}\n", "2:33", "expected ')' after result types"},
+    {"ir", "module {\n  %0 = \"x.y\"() : () -> ()\n}\n", "2:24", "result name/type count mismatch"},
+    {"ir", "module {\n  \"x.y\"() ({\n  ^bb0(x: f64):\n  }) : () -> ()\n}\n", "3:8", "expected '%'"},
+    {"ir", "module {\n  \"x.y\"() ({\n  ^bb0(%a f64):\n  }) : () -> ()\n}\n", "3:11", "expected ':' after block arg"},
+    {"ir", "module {\n  \"x.y\"() ({\n  ^bb0 x\n  }) : () -> ()\n}\n", "3:8", "expected ':' after block label"},
+};
+
+}  // namespace
+
+TEST(FrontendErrors, EveryRejectionIsLocatedInvalidArgument) {
+  for (const BadInput &bad : kBadInputs) {
+    SCOPED_TRACE(std::string(bad.lang) + " input:\n" + bad.text);
+    auto parsed = parse_as(bad.lang, bad.text);
+    ASSERT_FALSE(parsed.has_value());
+    const auto &error = parsed.error();
+    EXPECT_EQ(error.code_enum(), everest::support::ErrorCode::InvalidArgument)
+        << error.message;
+    EXPECT_EQ(error.message.rfind(std::string(bad.lang) + ": ", 0), 0u)
+        << error.message;
+    EXPECT_NE(error.message.find(" at " + std::string(bad.loc) + " ("),
+              std::string::npos)
+        << error.message;
+    EXPECT_NE(error.message.find(bad.what), std::string::npos) << error.message;
+  }
+}
+
+// Inputs the per-language lexers used to accept with a wrong meaning.
+TEST(FrontendErrors, MalformedTokensAreRejectedNotTruncated) {
+  // A non-numeric or negative extent used to become 0 or a dynamic dim.
+  auto abc = ef::parse_cfdlang("input A : [abc, 3]\noutput B = A\n");
+  ASSERT_FALSE(abc.has_value());
+  EXPECT_NE(abc.error().message.find("at 1:12"), std::string::npos);
+  auto negative = ef::parse_cfdlang("input A : [-4, 3]\noutput B = A\n");
+  ASSERT_FALSE(negative.has_value());
+  EXPECT_EQ(negative.error().code_enum(),
+            everest::support::ErrorCode::InvalidArgument);
+  EXPECT_NE(negative.error().message.find("at 1:12"), std::string::npos);
+  // `1.2.3` used to be read as 1.2.
+  auto number = ef::parse_ekl("kernel k\nb = 1.2 * 1.2.3\noutput b\n");
+  ASSERT_FALSE(number.has_value());
+  EXPECT_NE(number.error().message.find("at 2:11"), std::string::npos);
+  // An unknown placement is malformed input like any other.
+  auto gpu = ef::parse_condrust(
+      "fn f(xs: S) -> S {\n    #[gpu]\n    let a = g(xs);\n    return a;\n}\n");
+  ASSERT_FALSE(gpu.has_value());
+  EXPECT_EQ(gpu.error().code_enum(),
+            everest::support::ErrorCode::InvalidArgument);
+  EXPECT_NE(gpu.error().message.find("at 2:7"), std::string::npos);
+}
+
+TEST_F(FrontendTest, CfdlangProgramIsAWholeWord) {
+  // `programs` is an ordinary name: the statement used to be dropped, and
+  // its tail taken as the program name.
+  auto m = ef::parse_cfdlang(
+      "programs = A\nprogram p\ninput A : [2]\noutput B = programs\n");
+  ASSERT_FALSE(m.has_value());  // A is used before its input line
+  EXPECT_NE(m.error().message.find("undefined name 'A' at 1:12"),
+            std::string::npos)
+      << m.error().message;
+  auto ok = ef::parse_cfdlang(
+      "input A : [2]\nprograms = A\nprogram p\noutput B = programs\n");
+  ASSERT_TRUE(ok.has_value()) << ok.error().message;
+  auto *program = (*ok)->find_first("cfdlang.program");
+  ASSERT_NE(program, nullptr);
+  EXPECT_EQ(program->attr_string("sym_name"), "p");
+  EXPECT_EQ((*ok)->find_all("cfdlang.output").size(), 1u);
 }
 
 // ------------------------------------------------------------------- ONNX

@@ -1,5 +1,5 @@
-// Unit tests for the support substrate: Expected/Status, RNG, strings, JSON,
-// tables, and statistics.
+// Unit tests for the support substrate: Expected/Status, RNG, strings, the
+// source cursor, JSON, tables, and statistics.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 #include "support/expected.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
+#include "support/source_cursor.hpp"
 #include "support/stats.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
@@ -137,16 +138,106 @@ TEST(Strings, SplitJoinTrim) {
 
 TEST(Strings, Predicates) {
   EXPECT_TRUE(es::starts_with("ekl.sum", "ekl."));
-  EXPECT_TRUE(es::ends_with("ekl.sum", ".sum"));
-  EXPECT_TRUE(es::is_identifier("tau_abs"));
-  EXPECT_FALSE(es::is_identifier("9lives"));
-  EXPECT_FALSE(es::is_identifier(""));
+  EXPECT_FALSE(es::starts_with("ekl", "ekl."));
 }
 
-TEST(Strings, ReplaceAllAndFormat) {
-  EXPECT_EQ(es::replace_all("aXbXc", "X", "--"), "a--b--c");
+TEST(Strings, Format) {
   EXPECT_EQ(es::format_bytes(4096), "4.00 KiB");
   EXPECT_EQ(es::format_double(0.5), "0.5");
+}
+
+namespace {
+constexpr es::SourceLanguage kHash{"hash", "#", false};
+constexpr es::SourceLanguage kSlashLines{"lines", "//", true};
+constexpr es::SourceLanguage kBare{"bare", "", false};
+}  // namespace
+
+TEST(SourceCursor, SkipsTheLanguagesCommentsAndLocatesTokens) {
+  es::SourceCursor cur(kHash, "# note\n  alpha # tail\n\tbeta");
+  EXPECT_EQ(cur.loc().line, 2u);
+  EXPECT_EQ(cur.loc().col, 3u);
+  EXPECT_EQ(cur.ident(), "alpha");
+  EXPECT_EQ(cur.ident(), "beta");
+  EXPECT_TRUE(cur.at_end());
+  EXPECT_EQ(cur.loc().line, 3u);
+  EXPECT_EQ(cur.loc().col, 6u);
+
+  // '#' is punctuation where it is not the comment marker.
+  es::SourceCursor slash(kSlashLines, "#[x] // c\nnext");
+  EXPECT_TRUE(slash.consume("#["));
+  EXPECT_EQ(slash.ident(), "x");
+  EXPECT_TRUE(slash.consume(']'));
+  EXPECT_EQ(slash.peek(), '\n');  // line oriented: the newline is a token
+  EXPECT_TRUE(slash.consume('\n'));
+  EXPECT_EQ(slash.ident(), "next");
+
+  es::SourceCursor bare(kBare, "# x");
+  EXPECT_EQ(bare.peek(), '#');
+}
+
+TEST(SourceCursor, CopiesSaveAndRestoreAndLocateTheirErrors) {
+  es::SourceCursor cur(kBare, "one\n  two three");
+  cur.ident();
+  const es::SourceCursor saved = cur;
+  EXPECT_EQ(cur.ident(), "two");
+  EXPECT_FALSE(cur.consume_word("thr"));  // a prefix is not a word
+  EXPECT_TRUE(cur.consume_word("three"));
+  es::Error error = saved.error("bad thing");
+  EXPECT_EQ(error.code_enum(), es::ErrorCode::InvalidArgument);
+  EXPECT_EQ(error.message, "bare: bad thing at 2:3 (near 'two')");
+  EXPECT_EQ(cur.error("late").message, "bare: late at 2:12 (at end of input)");
+  cur = saved;
+  EXPECT_EQ(cur.ident(), "two");
+
+  es::SourceCursor line(kSlashLines, "a \nb");
+  line.ident();
+  EXPECT_EQ(line.error("x").message, "lines: x at 1:3 (at end of line)");
+}
+
+TEST(SourceCursor, NumbersAreWholeTokens) {
+  es::SourceCursor cur(kBare, "1 2.5 .5 1e-3 7x");
+  EXPECT_DOUBLE_EQ(*cur.number(), 1.0);
+  EXPECT_DOUBLE_EQ(*cur.number(), 2.5);
+  EXPECT_DOUBLE_EQ(*cur.number(), 0.5);
+  EXPECT_DOUBLE_EQ(*cur.number(), 1e-3);
+  EXPECT_DOUBLE_EQ(*cur.number(), 7.0);  // the number ends where 'x' starts
+  EXPECT_EQ(cur.ident(), "x");
+  for (const char *bad : {"1.2.3", "5e", "1e+", "."}) {
+    es::SourceCursor b(kBare, bad);
+    auto n = b.number();
+    ASSERT_FALSE(n.has_value()) << bad;
+    EXPECT_NE(n.error().message.find("at 1:1"), std::string::npos) << bad;
+  }
+
+  es::SourceCursor ints(kBare, "42 -1 99999999999999999999");
+  EXPECT_EQ(*ints.integer(), 42);
+  EXPECT_FALSE(ints.integer().has_value());  // no sign
+  ints.consume('-');
+  EXPECT_EQ(*ints.integer(), 1);
+  EXPECT_FALSE(ints.integer().has_value());  // out of range
+}
+
+TEST(SourceCursor, SigilsStringsAndBalancedText) {
+  es::SourceCursor cur(kBare, R"(%a.0 ^bb1 "q\"x" tensor<2x3xf64>, [1, "a,]"] }rest)");
+  EXPECT_EQ(*cur.sigil_name('%'), "%a.0");
+  EXPECT_EQ(*cur.sigil_name('^'), "^bb1");
+  EXPECT_EQ(*cur.quoted(), "q\"x");
+  EXPECT_EQ(cur.balanced_until(" ,"), "tensor<2x3xf64>");
+  EXPECT_TRUE(cur.consume(','));
+  // Nested groups and quoted text are opaque; a closer ends the item.
+  EXPECT_EQ(cur.balanced_until(","), R"([1, "a,]"])");
+  EXPECT_TRUE(cur.consume('}'));
+  EXPECT_EQ(cur.ident(), "rest");
+
+  es::SourceCursor open(kBare, "  \"never closed");
+  auto s = open.quoted();
+  ASSERT_FALSE(s.has_value());
+  EXPECT_NE(s.error().message.find("unterminated string at 1:3"),
+            std::string::npos);
+
+  // A line-oriented language never reads past the end of the line.
+  es::SourceCursor lines(kSlashLines, "Stream<\nPoint>");
+  EXPECT_EQ(lines.balanced_until(","), "Stream<");
 }
 
 TEST(Json, BuildAndDump) {
