@@ -36,6 +36,12 @@ void AttrDict::set(Symbol key, Attribute value) {
   items.insert(it, NamedAttribute(key, std::move(value)));
 }
 
+// Out of line on purpose: inlined, the by-value move below lets GCC's
+// -Wmaybe-uninitialized trace variant alternatives the caller never built.
+void AttrDict::set(std::string_view key, Attribute value) {
+  set(Symbol(key), std::move(value));
+}
+
 std::vector<std::int64_t> Attribute::as_int_vector() const {
   std::vector<std::int64_t> out;
   for (const auto &a : as_array()) out.push_back(a.as_int());

@@ -121,9 +121,7 @@ public:
 
   /// Inserts or overwrites, keeping the vector sorted by key text.
   void set(Symbol key, Attribute value);
-  void set(std::string_view key, Attribute value) {
-    set(Symbol(key), std::move(value));
-  }
+  void set(std::string_view key, Attribute value);
 
   /// Returns the value or nullptr. The Symbol overload is a pure pointer
   /// scan; the string overload compares spellings without interning.

@@ -70,12 +70,12 @@ public:
   /// Emits `arith.constant` with a float value.
   Value *constant_f64(double v) {
     return create_value("arith.constant", {}, Type::floating(64),
-                        {{"value", Attribute(v)}});
+                        {{"value", v}});
   }
   /// Emits `arith.constant` with an integer value.
   Value *constant_index(std::int64_t v) {
     return create_value("arith.constant", {}, Type::index(),
-                        {{"value", Attribute(v)}});
+                        {{"value", v}});
   }
 
 private:

@@ -60,13 +60,33 @@ std::size_t TraceRecorder::event_count() const {
   return events_.size();
 }
 
-std::vector<std::pair<std::string, std::int64_t>> TraceRecorder::counters()
-    const {
+std::int64_t TraceRecorder::counter_value(std::string_view name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = counters_.find(name);
+  return it == counters_.end() ? 0 : it->second->value();
+}
+
+namespace {
+
+/// Calls `fn(name, metric)` for every entry of `metrics` (a name-sorted map)
+/// whose name starts with `prefix`.
+template <typename Map, typename Fn>
+void for_each_prefixed(const Map &metrics, std::string_view prefix, Fn fn) {
+  for (auto it = metrics.lower_bound(std::string(prefix));
+       it != metrics.end() && it->first.starts_with(prefix); ++it)
+    fn(it->first, *it->second);
+}
+
+}  // namespace
+
+std::vector<std::pair<std::string, std::int64_t>> TraceRecorder::counters(
+    std::string_view prefix) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::pair<std::string, std::int64_t>> out;
-  out.reserve(counters_.size());
-  for (const auto &[name, counter] : counters_)
-    out.emplace_back(name, counter->value());
+  for_each_prefixed(counters_, prefix,
+                    [&](const std::string &name, const Counter &counter) {
+                      out.emplace_back(name, counter.value());
+                    });
   return out;
 }
 
@@ -79,12 +99,13 @@ std::vector<std::pair<std::string, double>> TraceRecorder::gauges() const {
 }
 
 std::vector<std::pair<std::string, Histogram::Summary>>
-TraceRecorder::histograms() const {
+TraceRecorder::histograms(std::string_view prefix) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::pair<std::string, Histogram::Summary>> out;
-  out.reserve(histograms_.size());
-  for (const auto &[name, histogram] : histograms_)
-    out.emplace_back(name, histogram->summarize());
+  for_each_prefixed(histograms_, prefix,
+                    [&](const std::string &name, const Histogram &histogram) {
+                      out.emplace_back(name, histogram.summarize());
+                    });
   return out;
 }
 

@@ -14,6 +14,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -110,12 +111,18 @@ public:
   [[nodiscard]] std::vector<TraceEvent> events() const;
   [[nodiscard]] std::size_t event_count() const;
 
-  /// Metric snapshots for the exporters, sorted by name.
-  [[nodiscard]] std::vector<std::pair<std::string, std::int64_t>> counters()
-      const;
+  /// Current value of counter `name`; 0 (and nothing created) when no one
+  /// has bumped it.
+  [[nodiscard]] std::int64_t counter_value(std::string_view name) const;
+
+  /// Metric snapshots, sorted by name. A non-empty `prefix` keeps only the
+  /// metrics whose names start with it (a component reading back its own
+  /// stats), so unrelated histograms are not summarized.
+  [[nodiscard]] std::vector<std::pair<std::string, std::int64_t>> counters(
+      std::string_view prefix = {}) const;
   [[nodiscard]] std::vector<std::pair<std::string, double>> gauges() const;
   [[nodiscard]] std::vector<std::pair<std::string, Histogram::Summary>>
-  histograms() const;
+  histograms(std::string_view prefix = {}) const;
 
   /// Drops all events and metrics.
   void clear();
@@ -124,7 +131,7 @@ private:
   Clock clock_;
   mutable std::mutex mu_;
   std::vector<TraceEvent> events_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
+  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };

@@ -13,7 +13,9 @@ FailoverGroup::FailoverGroup(std::vector<platform::Device *> devices,
                              obs::TraceRecorder *recorder)
     : devices_(std::move(devices)),
       options_(std::move(options)),
-      recorder_(recorder) {
+      own_recorder_(recorder ? nullptr
+                             : std::make_unique<obs::TraceRecorder>()),
+      recorder_(recorder ? recorder : own_recorder_.get()) {
   breakers_.assign(devices_.size(), CircuitBreaker(options_.breaker));
 }
 
@@ -23,9 +25,7 @@ Expected<FailoverOutcome> FailoverGroup::run(const std::string &kernel,
   const std::size_t n = devices_.size();
   if (n == 0) return Error::unavailable("resil: failover group has no devices");
   int attempts = 0;
-  std::size_t start = 0;
-  if (options_.placement == FailoverOptions::Placement::RoundRobin)
-    start = next_start_++ % n;
+  const std::size_t start = next_start_++ % n;
   // Breakers run on the group's timeline: the latest clock among its
   // devices. A device's own clock stands still while its open breaker keeps
   // it idle, so judged on that clock the cooldown would never elapse.
@@ -51,8 +51,7 @@ Expected<FailoverOutcome> FailoverGroup::run(const std::string &kernel,
     }
     platform::Device &dev = *devices_[d];
     if (!breakers_[d].allow(timeline_us())) {
-      ++stats_.breaker_rejections;
-      if (recorder_) recorder_->counter("resil.breaker.rejected").add(1);
+      recorder_->counter("resil.breaker.rejected").add(1);
       continue;
     }
     auto attempt = [&]() -> Expected<double> {
@@ -65,24 +64,15 @@ Expected<FailoverOutcome> FailoverGroup::run(const std::string &kernel,
         "run." + dev.spec().name);
     if (result) {
       breakers_[d].on_success();
-      // "Primary" is the device this launch tried first (ring start under
-      // RoundRobin); landing anywhere else means the launch was degraded.
-      bool primary = d == start;
-      if (primary) ++stats_.primary_runs;
-      else ++stats_.failover_runs;
-      if (recorder_ && !primary)
-        recorder_->counter("resil.failover.runs").add(1);
-      return FailoverOutcome{*result, dev.spec().name, attempts, !primary};
+      // Landing anywhere but the device this launch tried first (the ring
+      // start) means the launch was degraded.
+      const bool degraded = d != start;
+      if (degraded) recorder_->counter("resil.failover.runs").add(1);
+      return FailoverOutcome{*result, dev.spec().name, attempts, degraded};
     }
     breakers_[d].on_failure(timeline_us());
     last = result.error();
-    if (recorder_) recorder_->counter("resil.failover.device_exhausted").add(1);
-  }
-  if (options_.host_fallback_us >= 0.0) {
-    ++stats_.host_fallback_runs;
-    if (recorder_) recorder_->counter("resil.failover.host_fallback").add(1);
-    return FailoverOutcome{options_.host_fallback_us, "host-cpu", attempts,
-                           true};
+    recorder_->counter("resil.failover.device_exhausted").add(1);
   }
   return last->with_context("resil: kernel '" + kernel +
                             "' failed on every device in the group");
@@ -105,11 +95,6 @@ Expected<platform::Device *> FailoverGroup::remove_last_device() {
   breakers_.pop_back();
   if (next_start_ >= devices_.size()) next_start_ = 0;
   return device;
-}
-
-FailoverStats FailoverGroup::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
 }
 
 CircuitBreaker::State FailoverGroup::breaker_state(std::size_t i) const {

@@ -1,20 +1,22 @@
 // everest/resil/failover.hpp
 //
-// Device failover for kernel launches: try the primary device under a retry
-// policy; if its attempt budget is exhausted (or its circuit breaker is
-// open) re-place the work on a backup device, and as a last resort fall
-// back to a host-CPU execution estimate with degraded-mode accounting.
-// This is the PCIe-vs-network trade-off of the EVEREST design environment
-// made operational: work migrates across the devices that remain healthy.
+// Device failover for kernel launches: try a device under a retry policy;
+// if its attempt budget is exhausted (or its circuit breaker is open)
+// re-place the work on the next device of the group. This is the
+// PCIe-vs-network trade-off of the EVEREST design environment made
+// operational: work migrates across the devices that remain healthy. When
+// every device fails the launch fails; the host-CPU path is the caller's
+// (the serving layer's backend chain), not the group's.
 //
 // The group is thread-safe and its membership is dynamic: the serving
 // layer's VF elasticity hot-plugs SR-IOV virtual functions in and out of a
 // node's replica group at runtime (add_device / remove_last_device), and
-// Placement::RoundRobin rotates the starting replica per launch so plugged
-// capacity actually spreads load instead of only absorbing failures.
+// the group rotates the starting device per launch so plugged capacity
+// actually spreads load instead of only absorbing failures. Degraded-mode
+// accounting is the resil.* counters of the group's recorder.
 #pragma once
 
-#include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -30,39 +32,30 @@ struct FailoverOptions {
   RetryPolicy retry;              // per-device attempt budget
   Deadline deadline;              // per-launch deadline (watchdog abort)
   CircuitBreaker::Options breaker;
-  double host_fallback_us = -1.0; // host-CPU estimate; < 0 disables fallback
-  /// How the group picks the device that a launch tries first. PrimaryFirst
-  /// is the classic primary + ordered backups; RoundRobin rotates the start
-  /// index per launch (replica load balancing), still failing over through
-  /// the remaining devices in ring order.
-  enum class Placement { PrimaryFirst, RoundRobin };
-  Placement placement = Placement::PrimaryFirst;
 };
 
 /// Where and how one launch finally ran.
 struct FailoverOutcome {
   double latency_us = 0.0;
-  std::string executed_on;  // device name, or "host-cpu"
+  std::string executed_on;  // device name
   int attempts = 0;         // total launch attempts across all devices
   bool degraded = false;    // did not run on the device tried first
 };
 
-/// Cumulative degraded-mode accounting.
-struct FailoverStats {
-  std::int64_t primary_runs = 0;
-  std::int64_t failover_runs = 0;
-  std::int64_t host_fallback_runs = 0;
-  std::int64_t breaker_rejections = 0;
-};
-
-/// A primary device plus ordered backups, each behind a circuit breaker.
-/// Breaker cooldowns run on the group's timeline (the latest clock among its
+/// A ring of devices, each behind a circuit breaker. Launch k tries device
+/// k mod n first, then fails over through the rest in ring order. Breaker
+/// cooldowns run on the group's timeline (the latest clock among its
 /// devices), so a shed device is probed again once the others have moved
 /// time forward; when every breaker is open the group waits out the shortest
 /// cooldown and probes that device. Kernels must already be loaded on every
-/// member device. Launches, stats reads, and membership changes serialize on
-/// an internal mutex, so the group may be shared by concurrent dispatcher
-/// threads.
+/// member device. Launches and membership changes serialize on an internal
+/// mutex, so the group may be shared by concurrent dispatcher threads.
+///
+/// Counters (in `recorder`, or a private one when null):
+/// resil.failover.runs (launches served off their first device),
+/// resil.failover.device_exhausted (a device's attempt budget spent) and
+/// resil.breaker.rejected (a device skipped by its open breaker), plus the
+/// resil.retry.* counters of with_retry.
 class FailoverGroup {
 public:
   FailoverGroup(std::vector<platform::Device *> devices,
@@ -70,7 +63,7 @@ public:
                 obs::TraceRecorder *recorder = nullptr);
 
   /// Launches `kernel` on the first healthy device that completes it within
-  /// the policy, falling back to the host estimate when every device fails.
+  /// the policy; the last device error when every device fails.
   support::Expected<FailoverOutcome> run(const std::string &kernel,
                                          bool dataflow = false);
 
@@ -82,7 +75,6 @@ public:
   /// against in-flight launches: removal holds the same lock launches do.
   support::Expected<platform::Device *> remove_last_device();
 
-  [[nodiscard]] FailoverStats stats() const;
   [[nodiscard]] CircuitBreaker::State breaker_state(std::size_t i) const;
 
 private:
@@ -90,9 +82,9 @@ private:
   std::vector<platform::Device *> devices_;
   std::vector<CircuitBreaker> breakers_;
   FailoverOptions options_;
+  std::unique_ptr<obs::TraceRecorder> own_recorder_;  // when none was given
   obs::TraceRecorder *recorder_;
-  FailoverStats stats_;
-  std::size_t next_start_ = 0;  // RoundRobin rotation cursor
+  std::size_t next_start_ = 0;  // rotation cursor
 };
 
 }  // namespace everest::resil

@@ -118,11 +118,6 @@ ElasticDeviceBackend::create(std::string name,
         "serve: device backend '" + name +
         "' needs a compute backend for functional results");
   }
-  // The replica ring exists to spread launches, and the host-CPU fallback
-  // belongs to the Server's backend chain (where it is accounted as a
-  // degraded backend), not to the launch group.
-  options.placement = resil::FailoverOptions::Placement::RoundRobin;
-  options.host_fallback_us = -1.0;
   return std::unique_ptr<ElasticDeviceBackend>(new ElasticDeviceBackend(
       std::move(name), std::move(devices), std::move(kernel),
       std::move(compute), std::move(options), recorder));

@@ -85,18 +85,17 @@ private:
 
 /// FPGA backend over a replica set of devices (SR-IOV virtual functions, or
 /// one fixed card). Every batch is one simulated kernel launch placed by a
-/// thread-safe resil::FailoverGroup in RoundRobin rotation (plugged capacity
-/// spreads load; injected faults fail over to the next device in ring
-/// order), then the functional result is computed by the wrapped host
-/// backend so batched, unbatched, and any-replica outputs stay
-/// byte-identical. The group never falls back to the host itself: that is
-/// the Server's backend chain, where it is accounted as degraded.
+/// thread-safe resil::FailoverGroup, which rotates the first device per
+/// launch (plugged capacity spreads load; injected faults fail over to the
+/// next device in ring order), then the functional result is computed by
+/// the wrapped host backend so batched, unbatched, and any-replica outputs
+/// stay byte-identical. The group never falls back to the host itself: that
+/// is the Server's backend chain, where it is accounted as degraded.
 class ElasticDeviceBackend final : public Backend {
 public:
   /// `devices` must be non-empty and have `kernel` already loaded; the
   /// caller keeps ownership of the devices. `options` carries the group's
-  /// retry budget, launch watchdog and breakers; placement and host
-  /// fallback are overridden as described above.
+  /// retry budget, launch watchdog and breakers.
   static support::Expected<std::unique_ptr<ElasticDeviceBackend>> create(
       std::string name, std::vector<platform::Device *> devices,
       std::string kernel, std::unique_ptr<DfgBackend> compute,

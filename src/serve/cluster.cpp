@@ -76,7 +76,8 @@ struct Cluster::Node {
 
   std::string name;
   /// Per-node recorder: serve.* gauges/counters from different nodes must
-  /// not collide, and autoscale() reads this node's serve.queue_depth.
+  /// not collide, and autoscale() reads this node's serve.queue_depth. The
+  /// front door books its per-node facts here too (cluster.node.*).
   std::unique_ptr<obs::TraceRecorder> recorder;
   std::unique_ptr<virt::VirtNode> virt;
   virt::VmId vm = -1;
@@ -88,16 +89,14 @@ struct Cluster::Node {
   ElasticDeviceBackend *elastic = nullptr;  // owned by server's backend list
   std::unique_ptr<Server> server;
   resil::CircuitBreaker breaker;
-  std::int64_t routed = 0;
-  std::int64_t forwarded_in = 0;
-  std::int64_t shed = 0;
-  double forward_net_us = 0.0;
 };
 
 Cluster::Cluster(ClusterOptions options, obs::TraceRecorder *recorder)
     : options_(std::move(options)),
       ring_(options_.nodes, options_.vnodes_per_node),
-      recorder_(recorder) {}
+      own_recorder_(recorder ? nullptr
+                             : std::make_unique<obs::TraceRecorder>()),
+      recorder_(recorder ? recorder : own_recorder_.get()) {}
 
 Cluster::~Cluster() { stop(); }
 
@@ -188,7 +187,6 @@ void Cluster::start() {
 
 Expected<std::future<Response>> Cluster::submit(Request request) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++submitted_;
   const std::vector<int> candidates =
       ring_.replicas(request.tenant, options_.replicas);
   const int primary = candidates.front();
@@ -224,23 +222,18 @@ Expected<std::future<Response>> Cluster::submit(Request request) {
     Request attempt = request;  // per-attempt copy: Server::submit consumes
     auto future = node.server->submit(std::move(attempt));
     if (future) {
+      // Admissions are the node server's serve.admitted; only forwards
+      // need a front-door count.
       node.breaker.on_success();
-      ++admitted_;
-      ++node.routed;
-      if (candidate.node != primary) {
-        ++forwarded_;
-        ++node.forwarded_in;
-        node.forward_net_us += forward_us;
-        if (recorder_) recorder_->counter("cluster.forwarded").add(1);
-      }
+      if (candidate.node != primary)
+        node.recorder->counter("cluster.node.forwarded_in").add(1);
       return future;
     }
     node.breaker.on_failure(now);
-    ++node.shed;
+    node.recorder->counter("cluster.node.shed").add(1);
     last = future.error();
   }
-  ++shed_;
-  if (recorder_) recorder_->counter("cluster.shed").add(1);
+  recorder_->counter("cluster.shed").add(1);
   if (!tried_any)
     return last.with_context("serve: cluster tenant '" + request.tenant + "'");
   return last.with_context("serve: cluster shed tenant '" + request.tenant +
@@ -278,8 +271,7 @@ AutoscaleReport Cluster::autoscale() {
       node.devices.push_back(*device);
       node.elastic->add_replica(*device);
       ++report.attached;
-      ++scale_ups_;
-      if (recorder_) recorder_->counter("cluster.scale_up").add(1);
+      recorder_->counter("cluster.scale_up").add(1);
     } else if (depth <= options_.scale_down_depth && vfs > options_.min_vfs) {
       // Remove from the launch ring first — that serializes against
       // in-flight launches — and only then unplug the VF, which destroys
@@ -290,8 +282,7 @@ AutoscaleReport Cluster::autoscale() {
       node.vfs.pop_back();
       node.devices.pop_back();
       ++report.detached;
-      ++scale_downs_;
-      if (recorder_) recorder_->counter("cluster.scale_down").add(1);
+      recorder_->counter("cluster.scale_down").add(1);
     }
   }
   return report;
@@ -308,30 +299,31 @@ double Cluster::forward_cost_us(std::int64_t bytes) const {
 
 ClusterStats Cluster::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
+  const double forward_us = forward_cost_us(options_.request_bytes);
   ClusterStats out;
-  out.submitted = submitted_;
-  out.admitted = admitted_;
-  out.forwarded = forwarded_;
-  out.shed = shed_;
-  out.scale_ups = scale_ups_;
-  out.scale_downs = scale_downs_;
+  out.shed = recorder_->counter_value("cluster.shed");
+  out.scale_ups = recorder_->counter_value("cluster.scale_up");
+  out.scale_downs = recorder_->counter_value("cluster.scale_down");
   out.nodes.reserve(nodes_.size());
   for (const auto &np : nodes_) {
     const Node &node = *np;
     ClusterNodeStats ns;
     ns.name = node.name;
-    ns.routed = node.routed;
-    ns.forwarded_in = node.forwarded_in;
-    ns.shed = node.shed;
+    ns.server = node.server->stats();
+    ns.routed = ns.server.admitted;
+    ns.forwarded_in = node.recorder->counter_value("cluster.node.forwarded_in");
+    ns.shed = node.recorder->counter_value("cluster.node.shed");
     ns.vfs = static_cast<int>(node.vfs.size());
     for (const platform::Device *device : node.devices)
       ns.device_busy_us = std::max(ns.device_busy_us,
                                    device->stats().compute_us);
-    ns.forward_net_us = node.forward_net_us;
+    ns.forward_net_us = static_cast<double>(ns.forwarded_in) * forward_us;
     ns.queue_depth = node.server->queue_depth();
-    ns.server = node.server->stats();
+    out.admitted += ns.routed;
+    out.forwarded += ns.forwarded_in;
     out.nodes.push_back(std::move(ns));
   }
+  out.submitted = out.admitted + out.shed;
   return out;
 }
 

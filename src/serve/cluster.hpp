@@ -75,8 +75,7 @@ struct ClusterOptions {
   std::string kernel = "serve-graph";
   std::int64_t kernel_cycles = 2'000;
   /// Per-node VF replica-group policy: retry budget, launch watchdog
-  /// (`deadline`), breakers. ElasticDeviceBackend forces RoundRobin
-  /// placement and leaves host fallback to the Server's backend chain.
+  /// (`deadline`), breakers. Host fallback is the Server's backend chain.
   resil::FailoverOptions vf_failover;
   /// The 10 Gb data-center fabric forwarding rides on, and the payload a
   /// forwarded request carries (request out + response back are priced).
@@ -92,20 +91,30 @@ struct ClusterOptions {
   resil::CircuitBreaker::Options node_breaker{8, 5'000.0};
 };
 
+/// One node's slice of ClusterStats. The counts are the node recorder's
+/// metrics (named alongside) or derived from them.
 struct ClusterNodeStats {
   std::string name;
-  std::int64_t routed = 0;        // admissions on this node
-  std::int64_t forwarded_in = 0;  //  ... of which another node was primary
-  std::int64_t shed = 0;          // admission failures the front door saw
+  std::int64_t routed = 0;        // admissions on this node: server.admitted
+  std::int64_t forwarded_in = 0;  //  ... of which another node was primary:
+                                  //  cluster.node.forwarded_in
+  std::int64_t shed = 0;  // admission failures the front door saw:
+                          // cluster.node.shed
   int vfs = 0;
   /// Max simulated compute time across the node's VF devices — the node's
   /// accelerator busy time under the parallel-VF capacity model.
   double device_busy_us = 0.0;
-  double forward_net_us = 0.0;  // simulated fabric time charged to forwards
+  /// Simulated fabric time charged to forwards:
+  /// forwarded_in x Cluster::forward_cost_us(request_bytes).
+  double forward_net_us = 0.0;
   std::size_t queue_depth = 0;
   ServerStats server;
 };
 
+/// Cluster-wide snapshot. shed/scale_ups/scale_downs are the cluster
+/// recorder's cluster.shed/scale_up/scale_down counters; admitted and
+/// forwarded sum the nodes' routed and forwarded_in, and submitted is
+/// admitted + shed (every submit is one or the other).
 struct ClusterStats {
   std::int64_t submitted = 0;
   std::int64_t admitted = 0;
@@ -154,7 +163,8 @@ public:
 
   [[nodiscard]] ClusterStats stats() const;
   [[nodiscard]] int nodes() const { return static_cast<int>(nodes_.size()); }
-  /// The per-node recorder carrying that node's serve.* metrics.
+  /// The per-node recorder carrying that node's serve.* and cluster.node.*
+  /// metrics.
   [[nodiscard]] obs::TraceRecorder &node_recorder(int node) const;
 
 private:
@@ -164,20 +174,17 @@ private:
 
   ClusterOptions options_;
   HashRing ring_;
+  /// The front door's cluster.* counters: the caller's recorder, or a
+  /// private one when none was given.
+  std::unique_ptr<obs::TraceRecorder> own_recorder_;
   obs::TraceRecorder *recorder_;
   /// Front-door wall clock: the timeline node breakers run on.
   obs::Clock clock_;
   /// The HLS report programmed onto every VF (also by later hot-plugs).
   hls::KernelReport kernel_report_;
 
-  mutable std::mutex mu_;  // routing state: breakers + front-door stats
+  mutable std::mutex mu_;  // routing state: node breakers + VF sets
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::int64_t submitted_ = 0;
-  std::int64_t admitted_ = 0;
-  std::int64_t forwarded_ = 0;
-  std::int64_t shed_ = 0;
-  std::int64_t scale_ups_ = 0;
-  std::int64_t scale_downs_ = 0;
 };
 
 }  // namespace everest::serve

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 #include <set>
+#include <cstring>
 #include <sstream>
 
 namespace everest::serve {
@@ -18,6 +18,11 @@ std::string join_names(const std::vector<std::string> &names) {
   }
   return out.str();
 }
+
+// Per-tenant metric families: "<prefix><tenant>".
+constexpr const char *kLatencyPrefix = "serve.latency_us.";
+constexpr const char *kShedPrefix = "serve.tenant.shed.";
+constexpr const char *kFailedPrefix = "serve.tenant.failed.";
 
 }  // namespace
 
@@ -49,7 +54,10 @@ support::Expected<std::unique_ptr<Server>> Server::create(
 Server::Server(std::vector<std::unique_ptr<Backend>> backends,
                ServerOptions options, obs::TraceRecorder *recorder)
     : backends_(std::move(backends)), options_(std::move(options)),
-      batcher_(options_.batch), recorder_(recorder),
+      batcher_(options_.batch),
+      own_recorder_(recorder ? nullptr
+                             : std::make_unique<obs::TraceRecorder>()),
+      recorder_(recorder ? recorder : own_recorder_.get()),
       queue_(options_.queue_bound) {
   for (const auto &[name, config] : options_.tenants) {
     queue_.configure_tenant(name, config);
@@ -95,10 +103,8 @@ support::Expected<std::future<Response>> Server::submit(Request request) {
   if (draining_) {
     // Admitting here would keep the queue non-empty and livelock drain()'s
     // idle predicate under sustained load; shed instead.
-    ++stats_.submitted;
-    ++stats_.shed_drain;
-    ++stats_.tenants[request.tenant].shed;
-    if (recorder_) recorder_->counter("serve.shed.drain").add(1);
+    recorder_->counter("serve.shed.drain").add(1);
+    recorder_->counter(kShedPrefix + request.tenant).add(1);
     return support::Error::unavailable("serve: server is draining");
   }
   double now = clock_.now_us();
@@ -109,32 +115,23 @@ support::Expected<std::future<Response>> Server::submit(Request request) {
   pending.id = next_request_id_++;
   pending.request = std::move(request);
   pending.admit_us = now;
-  // admit() moves `pending` into the queue on success — take what the
-  // bookkeeping needs first.
-  const std::string tenant = pending.request.tenant;
+  // admit() moves `pending` into the queue on success (and leaves it alone
+  // on a shed), so the future is taken first.
   std::future<Response> future = pending.promise.get_future();
 
-  ++stats_.submitted;
   ShedReason reason = ShedReason::None;
   auto admitted = queue_.admit(pending, now, &reason);
   if (!admitted.is_ok()) {
-    ++stats_.tenants[tenant].shed;
-    if (reason == ShedReason::RateLimit) {
-      ++stats_.shed_rate;
-      if (recorder_) recorder_->counter("serve.shed.rate").add(1);
-    } else {
-      ++stats_.shed_queue;
-      if (recorder_) recorder_->counter("serve.shed.queue").add(1);
-    }
+    recorder_
+        ->counter(reason == ShedReason::RateLimit ? "serve.shed.rate"
+                                                  : "serve.shed.queue")
+        .add(1);
+    recorder_->counter(kShedPrefix + pending.request.tenant)
+        .add(1);
     return admitted.error();
   }
-  ++stats_.admitted;
-  ++stats_.tenants[tenant].admitted;
-  if (recorder_) {
-    recorder_->counter("serve.admitted").add(1);
-    recorder_->gauge("serve.queue_depth")
-        .set(static_cast<double>(queue_.size()));
-  }
+  recorder_->counter("serve.admitted").add(1);
+  recorder_->gauge("serve.queue_depth").set(static_cast<double>(queue_.size()));
   lock.unlock();
   work_cv_.notify_one();
   return future;
@@ -227,17 +224,14 @@ void Server::dispatcher_loop(int worker_index) {
         batch.push_back(std::move(*pending));
       }
     }
-    for (const auto &p : expired) {
-      ++stats_.shed_deadline;
-      ++stats_.tenants[p.request.tenant].shed;
-    }
-    if (recorder_) {
-      recorder_->gauge("serve.queue_depth")
-          .set(static_cast<double>(queue_.size()));
-      if (!expired.empty()) {
-        recorder_->counter("serve.shed.deadline")
-            .add(static_cast<std::int64_t>(expired.size()));
-      }
+    recorder_->gauge("serve.queue_depth")
+        .set(static_cast<double>(queue_.size()));
+    if (!expired.empty()) {
+      recorder_->counter("serve.shed.deadline")
+          .add(static_cast<std::int64_t>(expired.size()));
+      for (const auto &p : expired)
+        recorder_->counter(kShedPrefix + p.request.tenant)
+            .add(1);
     }
     std::uint64_t batch_id = batch.empty() ? 0 : next_batch_id_++;
     ++in_flight_batches_;
@@ -291,15 +285,12 @@ void Server::execute_batch(std::vector<PendingRequest> batch,
     tenants_in_batch.insert(p.request.tenant);
   }
 
-  std::optional<obs::TraceRecorder::Span> span;
-  if (recorder_) {
-    span.emplace(recorder_->span("batch-" + std::to_string(batch_id),
-                                 "serve.batch",
-                                 "serve.dispatcher-" +
-                                     std::to_string(worker_index)));
-    span->arg("batch_size", std::to_string(batch.size()));
-    span->arg("tenants", std::to_string(tenants_in_batch.size()));
-  }
+  auto span = recorder_->span("batch-" + std::to_string(batch_id),
+                               "serve.batch",
+                               "serve.dispatcher-" +
+                                   std::to_string(worker_index));
+  span.arg("batch_size", std::to_string(batch.size()));
+  span.arg("tenants", std::to_string(tenants_in_batch.size()));
 
   // Backend chain: breaker gate -> retry policy -> next backend on failure.
   std::map<std::string, runtime::Stream> outputs;
@@ -342,9 +333,8 @@ void Server::execute_batch(std::vector<PendingRequest> batch,
         last_error = support::Error::internal(
             "serve: backend '" + backends_[i]->name() +
             "' returned streams whose length differs from the batch size");
-        if (recorder_ && i + 1 < backends_.size()) {
-          recorder_->counter("serve.failover").add(1);
-        }
+        if (i + 1 < backends_.size())
+          recorder_->counter("serve.failover.attempts").add(1);
         continue;
       }
       outputs = std::move(*result);
@@ -354,16 +344,13 @@ void Server::execute_batch(std::vector<PendingRequest> batch,
     }
     breakers_[i].on_failure(clock_.now_us());
     last_error = result.error();
-    if (recorder_ && i + 1 < backends_.size()) {
-      recorder_->counter("serve.failover").add(1);
-    }
+    if (i + 1 < backends_.size())
+      recorder_->counter("serve.failover.attempts").add(1);
   }
 
   double finish = clock_.now_us();
-  if (span) {
-    span->arg("backend", ok ? backends_[used_backend]->name() : "none");
-    span->end();
-  }
+  span.arg("backend", ok ? backends_[used_backend]->name() : "none");
+  span.end();
 
   // Fan the batch result back out to per-request responses.
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -383,45 +370,57 @@ void Server::execute_batch(std::vector<PendingRequest> batch,
     batch[i].promise.set_value(std::move(r));
   }
 
-  // Stats + metrics.
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.batches;
-  stats_.batch_size.push(static_cast<double>(batch.size()));
-  stats_.breaker_rejections += breaker_rejections;
-  if (ok && used_backend > 0) ++stats_.failovers;
-  for (const auto &p : batch) {
-    TenantStats &t = stats_.tenants[p.request.tenant];
-    if (ok) {
-      ++t.completed;
-      ++stats_.completed;
-      t.latency_us.push(finish - p.admit_us);
-    } else {
-      ++t.failed;
-      ++stats_.failed;
-    }
+  // Metrics: the registry is the server's only record of the batch.
+  const auto size = static_cast<std::int64_t>(batch.size());
+  recorder_->counter("serve.batches").add(1);
+  recorder_->histogram("serve.batch_size").record(static_cast<double>(size));
+  if (breaker_rejections > 0)
+    recorder_->counter("serve.breaker.rejected").add(breaker_rejections);
+  if (!ok) {
+    recorder_->counter("serve.failed").add(size);
+    for (const auto &p : batch)
+      recorder_->counter(kFailedPrefix + p.request.tenant)
+          .add(1);
+    return;
   }
-  if (recorder_) {
-    recorder_->counter("serve.batches").add(1);
-    recorder_->histogram("serve.batch_size")
-        .record(static_cast<double>(batch.size()));
-    for (const auto &p : batch) {
-      if (ok) {
-        recorder_->histogram("serve.latency_us." + p.request.tenant)
-            .record(finish - p.admit_us);
-        recorder_->counter("serve.completed").add(1);
-      } else {
-        recorder_->counter("serve.failed").add(1);
-      }
-    }
-    if (breaker_rejections > 0) {
-      recorder_->counter("serve.breaker.rejected").add(breaker_rejections);
-    }
-  }
+  if (used_backend > 0) recorder_->counter("serve.failover.batches").add(1);
+  recorder_->counter("serve.completed").add(size);
+  for (const auto &p : batch)
+    recorder_->histogram(kLatencyPrefix + p.request.tenant)
+        .record(finish - p.admit_us);
 }
 
 ServerStats Server::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  const obs::TraceRecorder &r = *recorder_;
+  ServerStats s;
+  s.admitted = r.counter_value("serve.admitted");
+  s.completed = r.counter_value("serve.completed");
+  s.failed = r.counter_value("serve.failed");
+  s.shed_queue = r.counter_value("serve.shed.queue");
+  s.shed_rate = r.counter_value("serve.shed.rate");
+  s.shed_deadline = r.counter_value("serve.shed.deadline");
+  s.shed_drain = r.counter_value("serve.shed.drain");
+  s.batches = r.counter_value("serve.batches");
+  s.failovers = r.counter_value("serve.failover.batches");
+  s.breaker_rejections = r.counter_value("serve.breaker.rejected");
+  // Every submit that got past validation was admitted or shed.
+  s.submitted = s.admitted + s.shed_rate + s.shed_queue + s.shed_drain;
+  for (const auto &[name, summary] : r.histograms("serve.batch_size"))
+    if (name == "serve.batch_size") s.batch_size = summary;
+
+  auto tenant = [&](const std::string &name, const char *prefix) -> auto & {
+    return s.tenants[name.substr(std::strlen(prefix))];
+  };
+  for (const auto &[name, summary] : r.histograms(kLatencyPrefix)) {
+    TenantStats &t = tenant(name, kLatencyPrefix);
+    t.latency_us = summary;
+    t.completed = static_cast<std::int64_t>(summary.count);
+  }
+  for (const auto &[name, value] : r.counters(kShedPrefix))
+    tenant(name, kShedPrefix).shed = value;
+  for (const auto &[name, value] : r.counters(kFailedPrefix))
+    tenant(name, kFailedPrefix).failed = value;
+  return s;
 }
 
 std::size_t Server::queue_depth() const {

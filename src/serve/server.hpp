@@ -28,7 +28,6 @@
 #include "serve/batcher.hpp"
 #include "serve/qos.hpp"
 #include "serve/request.hpp"
-#include "support/stats.hpp"
 
 namespace everest::serve {
 
@@ -49,31 +48,39 @@ struct ServerOptions {
   double default_deadline_budget_us = -1.0;
 };
 
-/// Aggregate serving statistics (snapshot via Server::stats()).
+/// One tenant's serving statistics, read from the tenant's metrics.
 struct TenantStats {
-  std::int64_t admitted = 0;
-  std::int64_t completed = 0;
-  std::int64_t failed = 0;
-  std::int64_t shed = 0;
-  support::RunningStats latency_us;
+  std::int64_t completed = 0;  // latency_us.count
+  std::int64_t failed = 0;     // serve.tenant.failed.<tenant>
+  std::int64_t shed = 0;       // serve.tenant.shed.<tenant>
+  obs::Histogram::Summary latency_us;  // serve.latency_us.<tenant>
 };
 
+/// Serving statistics: a snapshot Server::stats() builds from the server's
+/// serve.* metrics. The registry is the only place the server counts, so
+/// every field is a metric (named alongside) or derived from metrics.
 struct ServerStats {
+  /// admitted + shed_rate + shed_queue + shed_drain: every submit that
+  /// passed input validation on a running server.
   std::int64_t submitted = 0;
-  std::int64_t admitted = 0;
-  std::int64_t completed = 0;
-  std::int64_t failed = 0;
-  std::int64_t shed_queue = 0;
-  std::int64_t shed_rate = 0;
-  std::int64_t shed_deadline = 0;
-  /// Submits rejected because the server was draining. drain() flushes the
-  /// requests admitted before it began; concurrent submitters are shed with
-  /// Unavailable instead of being allowed to livelock the drain.
+  std::int64_t admitted = 0;       // serve.admitted
+  std::int64_t completed = 0;      // serve.completed
+  std::int64_t failed = 0;         // serve.failed
+  std::int64_t shed_queue = 0;     // serve.shed.queue
+  std::int64_t shed_rate = 0;      // serve.shed.rate
+  std::int64_t shed_deadline = 0;  // serve.shed.deadline
+  /// serve.shed.drain: submits rejected because the server was draining.
+  /// drain() flushes the requests admitted before it began; concurrent
+  /// submitters are shed with Unavailable instead of being allowed to
+  /// livelock the drain.
   std::int64_t shed_drain = 0;
-  std::int64_t batches = 0;
+  std::int64_t batches = 0;        // serve.batches
+  /// serve.failover.batches: batches served by a non-primary backend. (Each
+  /// failed backend attempt that passed a batch on counts separately, as
+  /// serve.failover.attempts.)
   std::int64_t failovers = 0;
-  std::int64_t breaker_rejections = 0;
-  support::RunningStats batch_size;
+  std::int64_t breaker_rejections = 0;  // serve.breaker.rejected
+  obs::Histogram::Summary batch_size;   // serve.batch_size
   std::map<std::string, TenantStats> tenants;
 };
 
@@ -119,6 +126,8 @@ public:
   /// measured on.
   [[nodiscard]] double now_us() const { return clock_.now_us(); }
 
+  /// Snapshot of the serve.* metrics in the server's recorder. A recorder
+  /// shared with another Server, or clear()ed, shows that in the snapshot.
   [[nodiscard]] ServerStats stats() const;
   /// Requests currently waiting for a batch (the serve.queue_depth gauge).
   [[nodiscard]] std::size_t queue_depth() const;
@@ -139,6 +148,9 @@ private:
   std::vector<std::unique_ptr<Backend>> backends_;
   ServerOptions options_;
   DynamicBatcher batcher_;
+  /// Where every serve.* stat lives: the caller's recorder, or a private
+  /// one when none was given, so recorder_ is never null.
+  std::unique_ptr<obs::TraceRecorder> own_recorder_;
   obs::TraceRecorder *recorder_;
   /// Private wall clock so deadlines are well-defined without a recorder.
   obs::Clock clock_;
@@ -148,7 +160,6 @@ private:
   std::condition_variable idle_cv_;   // queue drained / batch finished
   AdmissionQueue queue_;
   std::vector<resil::CircuitBreaker> breakers_;
-  ServerStats stats_;
   std::uint64_t next_request_id_ = 1;
   std::uint64_t next_batch_id_ = 1;
   int in_flight_batches_ = 0;
@@ -164,9 +175,9 @@ private:
 /// that one device (a one-VF group, `kernel` already loaded) is placed in
 /// front of it, so device faults fail over to the host path. Each Server
 /// attempt is one launch; `launch_deadline_us` is its watchdog (< 0
-/// disables). serve.* metrics and batch spans go to `recorder` (may be
-/// null). The returned server is not started; call start() (and
-/// stop()/drain() per its lifecycle).
+/// disables). serve.* metrics and batch spans go to `recorder` (null gives
+/// the server a private one). The returned server is not started; call
+/// start() (and stop()/drain() per its lifecycle).
 support::Expected<std::unique_ptr<Server>> make_server(
     std::shared_ptr<const ir::Module> graph,
     std::shared_ptr<const runtime::NodeRegistry> registry,

@@ -30,7 +30,7 @@ bool constant_of(const Value *v, double &out) {
 Value *make_constant(PatternRewriter &rw, Operation &anchor, double value) {
   return rw.create_value_before(&anchor, "arith.constant", {},
                                 anchor.result(0)->type(),
-                                {{"value", Attribute(value)}});
+                                {{"value", value}});
 }
 
 }  // namespace
@@ -172,7 +172,7 @@ std::vector<std::shared_ptr<ir::RewritePattern>> canonicalize_patterns(
         if (!teil_constant_of(op.operand(0), value)) return false;
         Value *c = rw.create_value_before(&op, "teil.constant", {},
                                           op.result(0)->type(),
-                                          {{"value", Attribute(value)}});
+                                          {{"value", value}});
         rw.replace_op(&op, {c});
         return true;
       }));

@@ -32,7 +32,7 @@ LoopNest emit_loop_nest(ir::OpBuilder b, const std::vector<std::int64_t> &shape)
     Value *hi = b.constant_index(extent);
     Value *step = b.constant_index(1);
     Operation &loop = b.create("scf.for", {lo, hi, step}, {},
-                               {{"trip_count", Attribute(extent)}}, 1);
+                               {{"trip_count", extent}}, 1);
     ir::Block &body = loop.region(0).add_block();
     Value &iv = body.add_argument(Type::index());
     ivs.push_back(&iv);

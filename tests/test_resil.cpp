@@ -385,28 +385,21 @@ TEST(Failover, FailsOverToTheBackupDevice) {
   eo::TraceRecorder recorder;
   rs::FailoverGroup group({&rig.primary, &rig.backup}, rig.options(),
                           &recorder);
+  // The rotation starts the first launch at the primary, which hangs.
   auto outcome = group.run("k");
   ASSERT_TRUE(outcome.has_value()) << outcome.error().message;
   EXPECT_EQ(outcome->executed_on, rig.backup.spec().name);
   EXPECT_TRUE(outcome->degraded);
   EXPECT_EQ(outcome->attempts, 3);  // 2 on the primary + 1 on the backup
-  EXPECT_EQ(group.stats().failover_runs, 1);
-  EXPECT_EQ(group.stats().primary_runs, 0);
-  EXPECT_EQ(recorder.counter("resil.failover.runs").value(), 1);
-}
-
-TEST(Failover, FallsBackToHostWhenEveryDeviceFails) {
-  FailoverRig rig;
-  rig.backup.attach_fault_injector(&rig.inj);  // backup hangs too
-  auto options = rig.options();
-  options.host_fallback_us = 123.0;
-  rs::FailoverGroup group({&rig.primary, &rig.backup}, options);
-  auto outcome = group.run("k");
-  ASSERT_TRUE(outcome.has_value());
-  EXPECT_EQ(outcome->executed_on, "host-cpu");
-  EXPECT_DOUBLE_EQ(outcome->latency_us, 123.0);
-  EXPECT_TRUE(outcome->degraded);
-  EXPECT_EQ(group.stats().host_fallback_runs, 1);
+  EXPECT_EQ(recorder.counter_value("resil.failover.runs"), 1);
+  EXPECT_EQ(recorder.counter_value("resil.failover.device_exhausted"), 1);
+  // The second launch starts at the backup: served first time, not degraded.
+  outcome = group.run("k");
+  ASSERT_TRUE(outcome.has_value()) << outcome.error().message;
+  EXPECT_EQ(outcome->executed_on, rig.backup.spec().name);
+  EXPECT_FALSE(outcome->degraded);
+  EXPECT_EQ(outcome->attempts, 1);
+  EXPECT_EQ(recorder.counter_value("resil.failover.runs"), 1);
 }
 
 TEST(Failover, PropagatesTheLastErrorWithoutAFallback) {
@@ -422,17 +415,24 @@ TEST(Failover, PropagatesTheLastErrorWithoutAFallback) {
 
 TEST(Failover, BreakerShedsARepeatedlyFailingPrimary) {
   FailoverRig rig;
+  eo::TraceRecorder recorder;
   auto options = rig.options();
   options.breaker.failure_threshold = 2;
   options.breaker.open_us = 1e9;  // stays open for the whole test
-  rs::FailoverGroup group({&rig.primary, &rig.backup}, options);
-  for (int i = 0; i < 4; ++i) {
+  rs::FailoverGroup group({&rig.primary, &rig.backup}, options, &recorder);
+  // The rotation starts launches 0, 2 and 4 at the primary. Launches 0 and
+  // 2 exhaust it, which trips the threshold; from launch 3 on no launch
+  // spends an attempt on it.
+  for (int i = 0; i < 6; ++i) {
     auto outcome = group.run("k");
     ASSERT_TRUE(outcome.has_value());
-    EXPECT_TRUE(outcome->degraded);
+    EXPECT_EQ(outcome->executed_on, rig.backup.spec().name) << "launch " << i;
+    if (i >= 3) {
+      EXPECT_EQ(outcome->attempts, 1) << "launch " << i;
+    }
   }
-  // Two launches trip the threshold; later runs skip the primary outright.
-  EXPECT_GT(group.stats().breaker_rejections, 0);
+  EXPECT_EQ(recorder.counter_value("resil.failover.device_exhausted"), 2);
+  EXPECT_EQ(recorder.counter_value("resil.breaker.rejected"), 1);
   EXPECT_EQ(group.breaker_state(0), rs::CircuitBreaker::State::Open);
 }
 
@@ -461,10 +461,13 @@ TEST(Failover, LoneDeviceBreakerCoolsDownOnceTheFaultClears) {
 // the group's timeline past its cooldown.
 TEST(Failover, HealedPrimaryRejoinsOnTheGroupTimeline) {
   FailoverRig rig;
+  eo::TraceRecorder recorder;
   auto options = rig.options();
   options.retry.max_attempts = 1;
-  rs::FailoverGroup group({&rig.primary, &rig.backup}, options);
-  for (int i = 0; i < options.breaker.failure_threshold; ++i) {
+  rs::FailoverGroup group({&rig.primary, &rig.backup}, options, &recorder);
+  // The rotation starts every other launch at the hanging primary, so
+  // 2 x threshold launches trip its breaker; all of them land on the backup.
+  for (int i = 0; i < 2 * options.breaker.failure_threshold; ++i) {
     auto outcome = group.run("k");
     ASSERT_TRUE(outcome.has_value());
     EXPECT_EQ(outcome->executed_on, rig.backup.spec().name);
@@ -472,10 +475,15 @@ TEST(Failover, HealedPrimaryRejoinsOnTheGroupTimeline) {
   ASSERT_EQ(group.breaker_state(0), rs::CircuitBreaker::State::Open);
   rig.primary.attach_fault_injector(nullptr);  // the primary heals
 
-  for (int i = 0; i < 1000; ++i) ASSERT_TRUE(group.run("k").has_value());
-  EXPECT_GT(group.stats().primary_runs, 0);
+  int on_primary = 0;
+  for (int i = 0; i < 1000; ++i) {
+    auto outcome = group.run("k");
+    ASSERT_TRUE(outcome.has_value());
+    if (outcome->executed_on == rig.primary.spec().name) ++on_primary;
+  }
+  EXPECT_GT(on_primary, 0);
   EXPECT_EQ(group.breaker_state(0), rs::CircuitBreaker::State::Closed);
-  EXPECT_GT(group.stats().breaker_rejections, 0);
+  EXPECT_GT(recorder.counter_value("resil.breaker.rejected"), 0);
 }
 
 // ----------------------------------------------------------- network faults

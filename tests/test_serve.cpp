@@ -388,7 +388,7 @@ TEST(Server, CoalescesQueuedRequestsIntoBatches) {
   }
   // Batch sizes from the per-response view must cover all 10 requests
   // (4 + 4 + 2).
-  EXPECT_EQ(stats.batch_size.max(), 4.0);
+  EXPECT_EQ(stats.batch_size.max, 4.0);
   EXPECT_EQ(stats.completed, 10);
 }
 
@@ -1019,4 +1019,177 @@ TEST(Server, ConfigureTenantClampsSubUnityBurst) {
   server->start();
   server->drain();
   EXPECT_TRUE(a->get().status.is_ok());
+}
+
+namespace {
+
+// Failing primary backend. On its first batch, which the dispatcher runs
+// inside drain(), it submits into its own server until a submit is shed for
+// draining; every batch then fails with a retryable error, so the batches
+// fail over to the host backend behind it.
+class DrainProbeBackend final : public es::Backend {
+public:
+  [[nodiscard]] const std::string &name() const override { return name_; }
+  [[nodiscard]] const std::vector<std::string> &input_names() const override {
+    return inputs_;
+  }
+
+  esup::Expected<std::map<std::string, er::Stream>> run_batch(
+      const std::map<std::string, er::Stream> &) override {
+    for (int i = 0; i < 5'000 && server != nullptr && !probed; ++i) {
+      es::Request request;
+      request.tenant = "late-comer";
+      request.inputs["xs"] = {3.0};
+      auto submitted = server->submit(std::move(request));
+      if (!submitted.has_value()) {
+        probed = true;  // shed: the drain has begun
+      } else {
+        admitted.push_back(std::move(*submitted));  // raced ahead of drain()
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    return esup::Error::unavailable("probe: primary backend is down");
+  }
+
+  es::Server *server = nullptr;
+  bool probed = false;
+  std::vector<std::future<es::Response>> admitted;
+
+private:
+  std::string name_ = "probe";
+  std::vector<std::string> inputs_{"xs"};
+};
+
+// Drives one server through every way a request ends: a rate shed, a queue
+// shed, a deadline shed and a drain shed, and batches that fail over from a
+// failing primary to the host. Returns the stopped server.
+std::unique_ptr<es::Server> run_mixed_workload(eo::TraceRecorder *recorder) {
+  auto probe = std::make_unique<DrainProbeBackend>();
+  DrainProbeBackend *primary = probe.get();
+  auto host =
+      es::DfgBackend::create(pipe_graph(), pipe_registry(), {}, nullptr);
+  EXPECT_TRUE(host.has_value());
+  std::vector<std::unique_ptr<es::Backend>> backends;
+  backends.push_back(std::move(probe));
+  backends.push_back(std::move(*host));
+  es::ServerOptions options;
+  options.dispatchers = 1;
+  options.batch.max_batch = 4;
+  options.retry.max_attempts = 1;
+  options.breaker.failure_threshold = 1;
+  options.breaker.open_us = 1e12;  // the primary stays shed once it trips
+  es::TenantConfig rated;
+  rated.rate_per_s = 1e-9;
+  rated.burst = 2.0;
+  options.tenants["rated"] = rated;
+  es::TenantConfig bounded;
+  bounded.queue_bound = 2;
+  options.tenants["bounded"] = bounded;
+  auto created = es::Server::create(std::move(backends), options, recorder);
+  EXPECT_TRUE(created.has_value());
+  std::unique_ptr<es::Server> server = std::move(*created);
+  primary->server = server.get();
+
+  std::vector<std::future<es::Response>> futures;
+  auto submit = [&](const std::string &tenant, double deadline_us) {
+    es::Request request;
+    request.tenant = tenant;
+    request.inputs["xs"] = {1.0};
+    request.deadline_us = deadline_us;
+    auto submitted = server->submit(std::move(request));
+    if (submitted.has_value()) futures.push_back(std::move(*submitted));
+  };
+  for (int i = 0; i < 3; ++i) submit("rated", -1.0);    // burst 2, then shed
+  for (int i = 0; i < 3; ++i) submit("bounded", -1.0);  // bound 2, then shed
+  submit("late", 0.0);  // past its deadline when popped
+  for (int i = 0; i < 4; ++i) submit("steady", -1.0);
+  server->start();
+  server->drain();
+  for (auto &future : futures) future.get();
+  for (auto &future : primary->admitted) future.get();
+  server->stop();
+  EXPECT_TRUE(primary->probed) << "no submit was shed by the drain";
+  return server;
+}
+
+}  // namespace
+
+// Server::stats() is a snapshot of the server's serve.* metrics: every field
+// equals its metric in the recorder, the derived ones obey their identities,
+// and a server given no recorder counts into a private one.
+TEST(Server, StatsAreASnapshotOfTheRegistry) {
+  eo::TraceRecorder recorder;
+  auto server = run_mixed_workload(&recorder);
+  const es::ServerStats stats = server->stats();
+  auto metric = [&](const std::string &name) {
+    return recorder.counter_value(name);
+  };
+  EXPECT_EQ(stats.admitted, metric("serve.admitted"));
+  EXPECT_EQ(stats.completed, metric("serve.completed"));
+  EXPECT_EQ(stats.failed, metric("serve.failed"));
+  EXPECT_EQ(stats.shed_rate, metric("serve.shed.rate"));
+  EXPECT_EQ(stats.shed_queue, metric("serve.shed.queue"));
+  EXPECT_EQ(stats.shed_deadline, metric("serve.shed.deadline"));
+  EXPECT_EQ(stats.shed_drain, metric("serve.shed.drain"));
+  EXPECT_EQ(stats.batches, metric("serve.batches"));
+  EXPECT_EQ(stats.failovers, metric("serve.failover.batches"));
+  EXPECT_EQ(stats.breaker_rejections, metric("serve.breaker.rejected"));
+  std::map<std::string, eo::Histogram::Summary> histograms;
+  for (const auto &[name, summary] : recorder.histograms("serve."))
+    histograms[name] = summary;
+  EXPECT_EQ(stats.batch_size.count, histograms["serve.batch_size"].count);
+  EXPECT_EQ(stats.batch_size.sum, histograms["serve.batch_size"].sum);
+  EXPECT_EQ(stats.batch_size.max, histograms["serve.batch_size"].max);
+
+  // The workload reached every path once.
+  EXPECT_EQ(stats.shed_rate, 1);
+  EXPECT_EQ(stats.shed_queue, 1);
+  EXPECT_EQ(stats.shed_deadline, 1);
+  EXPECT_EQ(stats.shed_drain, 1);
+  EXPECT_GE(stats.failovers, 1);
+  EXPECT_GE(stats.breaker_rejections, 1);
+  EXPECT_EQ(metric("serve.failover.attempts"), 1) << "the primary failed once";
+
+  // Identities: every validated submit was admitted or shed at admission,
+  // and every admitted request ended by now.
+  EXPECT_EQ(stats.submitted, stats.admitted + stats.shed_rate +
+                                 stats.shed_queue + stats.shed_drain);
+  EXPECT_EQ(stats.admitted,
+            stats.completed + stats.failed + stats.shed_deadline);
+  EXPECT_EQ(stats.batches, static_cast<std::int64_t>(stats.batch_size.count));
+  EXPECT_EQ(stats.completed, static_cast<std::int64_t>(stats.batch_size.sum));
+
+  std::int64_t completed = 0, failed = 0, shed = 0;
+  for (const auto &[tenant, t] : stats.tenants) {
+    EXPECT_EQ(t.completed, static_cast<std::int64_t>(
+                               histograms["serve.latency_us." + tenant].count))
+        << tenant;
+    EXPECT_EQ(t.latency_us.p99, histograms["serve.latency_us." + tenant].p99)
+        << tenant;
+    EXPECT_EQ(t.shed, metric("serve.tenant.shed." + tenant)) << tenant;
+    EXPECT_EQ(t.failed, metric("serve.tenant.failed." + tenant)) << tenant;
+    completed += t.completed;
+    failed += t.failed;
+    shed += t.shed;
+  }
+  EXPECT_EQ(completed, stats.completed);
+  EXPECT_EQ(failed, stats.failed);
+  EXPECT_EQ(shed, stats.shed_rate + stats.shed_queue + stats.shed_deadline +
+                      stats.shed_drain);
+  for (const char *tenant : {"rated", "bounded", "late", "late-comer"})
+    EXPECT_EQ(stats.tenants.at(tenant).shed, 1) << tenant;
+  EXPECT_EQ(stats.tenants.at("steady").completed, 4);
+
+  // No recorder given: the server still reports the same run.
+  auto bare = run_mixed_workload(nullptr);
+  const es::ServerStats own = bare->stats();
+  EXPECT_EQ(own.shed_rate, 1);
+  EXPECT_EQ(own.shed_queue, 1);
+  EXPECT_EQ(own.shed_deadline, 1);
+  EXPECT_EQ(own.shed_drain, 1);
+  EXPECT_GE(own.failovers, 1);
+  EXPECT_EQ(own.submitted,
+            own.admitted + own.shed_rate + own.shed_queue + own.shed_drain);
+  EXPECT_EQ(own.admitted, own.completed + own.shed_deadline);
+  EXPECT_EQ(own.tenants.at("steady").completed, 4);
 }

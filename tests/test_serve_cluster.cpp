@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <future>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "serve/cluster.hpp"
 
 namespace es = everest::serve;
+namespace eo = everest::obs;
 namespace er = everest::runtime;
 namespace ep = everest::platform;
 namespace esup = everest::support;
@@ -402,4 +406,180 @@ TEST(Cluster, CreateValidatesItsOptions) {
   EXPECT_TRUE(es::ElasticDeviceBackend::create("fpga", {&device},
                                                "serve_pipe", compute())
                   .has_value());
+}
+
+// ------------------------------------------------------ stats from metrics
+
+namespace {
+
+/// A request whose first record value is kHold stops inside mul2 until the
+/// gate opens: it keeps one batch in flight so a drain can be raced.
+constexpr double kHold = -1.0;
+
+struct HoldGate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool held = false;
+  bool open = false;
+};
+
+std::shared_ptr<er::NodeRegistry> gated_registry(
+    const std::shared_ptr<HoldGate> &gate) {
+  auto registry = pipe_registry();
+  registry->register_node(
+      "mul2", [gate](const std::vector<const er::Record *> &in) {
+        er::Record out = *in.at(0);
+        if (!out.empty() && out.front() == kHold) {
+          std::unique_lock<std::mutex> lock(gate->mu);
+          gate->held = true;
+          gate->cv.notify_all();
+          gate->cv.wait(lock, [&] { return gate->open; });
+        }
+        for (double &v : out) v *= 2.0;
+        return out;
+      });
+  return registry;
+}
+
+// Drives a 2-node cluster through a rate shed, a queue shed and a deadline
+// shed on both nodes, a drain shed that the front door forwards past, and
+// device launches that overrun their watchdog and fail over to the host.
+// Returns the stopped cluster.
+std::unique_ptr<es::Cluster> run_mixed_cluster(eo::TraceRecorder *recorder) {
+  auto gate = std::make_shared<HoldGate>();
+  es::ClusterOptions options;
+  options.nodes = 2;
+  options.replicas = 2;
+  options.service_estimate_us = 0.0;  // always try the primary first
+  options.node_breaker.failure_threshold = 1'000;
+  options.server.dispatchers = 1;
+  options.server.batch.max_batch = 4;
+  options.server.retry.max_attempts = 1;
+  options.server.breaker.failure_threshold = 1;
+  options.server.breaker.open_us = 1e12;
+  options.vf_failover.retry.max_attempts = 1;
+  options.vf_failover.deadline.deadline_us = 0.5;  // every launch overruns
+  es::TenantConfig rated;
+  rated.rate_per_s = 1e-9;
+  rated.burst = 2.0;
+  options.server.tenants["rated"] = rated;
+  es::TenantConfig bounded;
+  bounded.queue_bound = 2;
+  options.server.tenants["bounded"] = bounded;
+  auto created = es::Cluster::create(pipe_graph(), gated_registry(gate),
+                                     options, recorder);
+  EXPECT_TRUE(created.has_value());
+  std::unique_ptr<es::Cluster> cluster = std::move(*created);
+
+  std::vector<std::future<es::Response>> futures;
+  auto submit = [&](const std::string &tenant, double value,
+                    double deadline_us = -1.0) {
+    es::Request request = make_request(tenant, value);
+    request.deadline_us = deadline_us;
+    auto submitted = cluster->submit(std::move(request));
+    if (submitted.has_value()) futures.push_back(std::move(*submitted));
+  };
+  // Queued before start: 2 per node fit, the fifth is shed by both nodes.
+  for (int i = 0; i < 5; ++i) submit("rated", i);
+  for (int i = 0; i < 5; ++i) submit("bounded", i);
+  submit("late", 1.0, /*deadline_us=*/0.0);  // past its deadline when popped
+  cluster->start();
+
+  // Hold a batch in flight on the tenant's primary, so that node's drain
+  // stays open while submits race it.
+  const std::string tenant = "held";
+  const auto primary = static_cast<std::size_t>(cluster->primary_node(tenant));
+  submit(tenant, kHold);
+  {
+    std::unique_lock<std::mutex> lock(gate->mu);
+    gate->cv.wait(lock, [&] { return gate->held; });
+  }
+  std::thread drainer([&] { cluster->drain(); });
+  for (int i = 0; i < 5'000; ++i) {
+    if (cluster->stats().nodes.at(primary).server.shed_drain > 0) break;
+    submit(tenant, static_cast<double>(i));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  {
+    std::lock_guard<std::mutex> lock(gate->mu);
+    gate->open = true;
+  }
+  gate->cv.notify_all();
+  drainer.join();
+  cluster->drain();  // the requests forwarded past the drain
+  for (auto &future : futures) future.get();
+  cluster->stop();
+  return cluster;
+}
+
+}  // namespace
+
+// Cluster::stats() is a snapshot of the cluster recorder's cluster.*
+// counters and each node recorder's serve.* and cluster.node.* metrics.
+TEST(Cluster, StatsAreASnapshotOfTheRegistries) {
+  eo::TraceRecorder recorder;
+  auto cluster = run_mixed_cluster(&recorder);
+  const es::ClusterStats stats = cluster->stats();
+  EXPECT_EQ(stats.shed, recorder.counter_value("cluster.shed"));
+  EXPECT_EQ(stats.scale_ups, recorder.counter_value("cluster.scale_up"));
+  EXPECT_EQ(stats.scale_downs, recorder.counter_value("cluster.scale_down"));
+
+  const double forward_us = cluster->forward_cost_us(4'096);
+  std::int64_t admitted = 0, forwarded = 0, ended = 0;
+  es::ServerStats total;
+  for (std::size_t n = 0; n < stats.nodes.size(); ++n) {
+    const es::ClusterNodeStats &node = stats.nodes[n];
+    const eo::TraceRecorder &metrics =
+        cluster->node_recorder(static_cast<int>(n));
+    const es::ServerStats &server = node.server;
+    EXPECT_EQ(node.routed, metrics.counter_value("serve.admitted"));
+    EXPECT_EQ(node.forwarded_in,
+              metrics.counter_value("cluster.node.forwarded_in"));
+    EXPECT_EQ(node.shed, metrics.counter_value("cluster.node.shed"));
+    EXPECT_DOUBLE_EQ(node.forward_net_us,
+                     static_cast<double>(node.forwarded_in) * forward_us);
+    EXPECT_EQ(server.completed, metrics.counter_value("serve.completed"));
+    EXPECT_EQ(server.shed_rate, metrics.counter_value("serve.shed.rate"));
+    EXPECT_EQ(server.shed_queue, metrics.counter_value("serve.shed.queue"));
+    EXPECT_EQ(server.shed_deadline,
+              metrics.counter_value("serve.shed.deadline"));
+    EXPECT_EQ(server.shed_drain, metrics.counter_value("serve.shed.drain"));
+    EXPECT_EQ(server.failovers,
+              metrics.counter_value("serve.failover.batches"));
+    EXPECT_EQ(server.submitted, server.admitted + server.shed_rate +
+                                    server.shed_queue + server.shed_drain);
+    // The front door's view of a node's sheds is the node's own.
+    EXPECT_EQ(node.shed, server.submitted - server.admitted) << node.name;
+    admitted += node.routed;
+    forwarded += node.forwarded_in;
+    ended += server.completed + server.failed + server.shed_deadline;
+    total.shed_rate += server.shed_rate;
+    total.shed_queue += server.shed_queue;
+    total.shed_deadline += server.shed_deadline;
+    total.shed_drain += server.shed_drain;
+    total.failovers += server.failovers;
+  }
+  EXPECT_EQ(stats.admitted, admitted);
+  EXPECT_EQ(stats.forwarded, forwarded);
+  EXPECT_EQ(stats.submitted, stats.admitted + stats.shed);
+  EXPECT_EQ(ended, stats.admitted) << "every admitted request ended";
+
+  // The run reached every path. The primary of "rated" and of "bounded"
+  // sheds their third to fifth requests, the replica only the fifth, which
+  // the front door sheds; the drain shed was forwarded past; and the VF
+  // launches failed over to the host.
+  EXPECT_EQ(stats.shed, 2);
+  EXPECT_EQ(total.shed_rate, 4);
+  EXPECT_EQ(total.shed_queue, 4);
+  EXPECT_EQ(total.shed_deadline, 1);
+  EXPECT_GE(total.shed_drain, 1);
+  EXPECT_GE(stats.forwarded, 1);
+  EXPECT_GE(total.failovers, 1);
+
+  // No recorder given: the cluster counts into a private one.
+  auto bare = run_mixed_cluster(nullptr);
+  const es::ClusterStats own = bare->stats();
+  EXPECT_EQ(own.shed, 2);
+  EXPECT_EQ(own.submitted, own.admitted + own.shed);
+  EXPECT_GE(own.forwarded, 1);
 }

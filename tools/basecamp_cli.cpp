@@ -389,7 +389,7 @@ int cmd_serve(Basecamp &basecamp, int argc, char **argv) {
   std::printf("serve: %zu requests, %lld batches (mean batch %.2f, max %g), "
               "%zu completed, %zu failed, %zu shed at admission\n",
               workload.size(), static_cast<long long>(stats.batches),
-              stats.batch_size.mean(), stats.batch_size.max(), completed,
+              stats.batch_size.mean, stats.batch_size.max, completed,
               failed, admission_shed + static_cast<std::size_t>(
                                            stats.shed_deadline));
   if (stats.failovers > 0 || stats.breaker_rejections > 0) {
@@ -398,16 +398,11 @@ int cmd_serve(Basecamp &basecamp, int argc, char **argv) {
                 static_cast<long long>(stats.breaker_rejections));
   }
   for (const auto &[tenant, t] : stats.tenants) {
-    std::printf("  %-12s admitted %-5lld completed %-5lld shed %-5lld "
-                "latency mean %.1f us\n",
-                tenant.c_str(), static_cast<long long>(t.admitted),
-                static_cast<long long>(t.completed),
-                static_cast<long long>(t.shed), t.latency_us.mean());
-  }
-  for (const auto &[name, summary] : basecamp.recorder().histograms()) {
-    if (!everest::support::starts_with(name, "serve.latency_us.")) continue;
-    std::printf("  %-28s p50 %.1f us  p95 %.1f us  p99 %.1f us\n",
-                name.c_str(), summary.p50, summary.p95, summary.p99);
+    std::printf("  %-12s completed %-5lld shed %-5lld latency p50 %.1f us  "
+                "p95 %.1f us  p99 %.1f us\n",
+                tenant.c_str(), static_cast<long long>(t.completed),
+                static_cast<long long>(t.shed), t.latency_us.p50,
+                t.latency_us.p95, t.latency_us.p99);
   }
   if (injector && injector->injected_total() > 0) {
     std::printf("injected faults (seed %llu):",
