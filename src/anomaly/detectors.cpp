@@ -116,8 +116,9 @@ Status MahalanobisDetector::fit(const Table &rows) {
 
   auto l = numerics::cholesky(cov);
   if (!l) return Status::failure("mahalanobis: covariance not SPD");
-  chol_.assign(d, std::vector<double>(d, 0.0));
+  chol_.resize(d);
   for (std::size_t a = 0; a < d; ++a) {
+    chol_[a].assign(d, 0.0);
     for (std::size_t b = 0; b <= a; ++b) {
       chol_[a][b] = (*l)(static_cast<std::int64_t>(a),
                          static_cast<std::int64_t>(b));

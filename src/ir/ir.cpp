@@ -161,6 +161,16 @@ Operation *Operation::create(Arena &arena, Symbol name, ValueRange operands,
   return op;
 }
 
+// Out of line on purpose, like AttrDict::set: inlined, the by-value move
+// lets GCC's -Wmaybe-uninitialized trace variant alternatives the caller
+// never built.
+void Operation::set_attr(std::string_view key, Attribute value) {
+  attributes_.set(key, std::move(value));
+}
+void Operation::set_attr(Symbol key, Attribute value) {
+  attributes_.set(key, std::move(value));
+}
+
 void Operation::init_operand(std::uint32_t i, Value *v) {
   Use *use = new (&operands_[i]) Use();
   use->user_ = this;

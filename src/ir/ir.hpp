@@ -604,12 +604,8 @@ public:
   void set_attributes(AttrDict attributes) {
     attributes_ = std::move(attributes);
   }
-  void set_attr(std::string_view key, Attribute value) {
-    attributes_.set(key, std::move(value));
-  }
-  void set_attr(Symbol key, Attribute value) {
-    attributes_.set(key, std::move(value));
-  }
+  void set_attr(std::string_view key, Attribute value);
+  void set_attr(Symbol key, Attribute value);
   [[nodiscard]] bool has_attr(std::string_view key) const {
     return attributes_.contains(key);
   }
@@ -785,11 +781,12 @@ private:
 
 /// Deep-copies a module into a fresh arena-owning Module handle: new
 /// operations, values, blocks, and regions with identical structure, names,
-/// types, and attributes. The clone prints byte-identically to the original
-/// (the compile cache relies on this to hand out private copies of cached IR
-/// without a print/parse round trip). Fast path: per-op storage is rebuilt
-/// arena-to-arena through pre-sized inline arrays and a single open-addressed
-/// value map — amortized zero global-heap allocations per cloned op.
+/// types, and attributes. The clone prints byte-identically to the original,
+/// so a caller that must rewrite a shared (immutable) module can take a
+/// private copy without a print/parse round trip. Fast path: per-op storage
+/// is rebuilt arena-to-arena through pre-sized inline arrays and a single
+/// open-addressed value map — amortized zero global-heap allocations per
+/// cloned op.
 [[nodiscard]] Module clone_module(const Module &module);
 
 /// Deep-copies one operation (with nested regions) into `dst`'s arena,

@@ -68,16 +68,6 @@ olympus::SystemEstimate estimate_from_json(const Json &j) {
   return e;
 }
 
-/// Deep-copies an entry so masters and handed-out copies never alias.
-CompileCacheEntry clone_entry(const CompileCacheEntry &entry) {
-  CompileCacheEntry copy = entry;
-  copy.teil_ir = std::make_shared<ir::Module>(ir::clone_module(*entry.teil_ir));
-  copy.loop_ir = std::make_shared<ir::Module>(ir::clone_module(*entry.loop_ir));
-  copy.system_ir =
-      std::make_shared<ir::Module>(ir::clone_module(*entry.system_ir));
-  return copy;
-}
-
 }  // namespace
 
 // ------------------------------------------------------------ pass tier
@@ -245,7 +235,7 @@ Expected<CompileCacheEntry> CompileCache::lookup(std::uint64_t key) {
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
       ++hits_;
       count("hit");
-      return clone_entry(it->second.entry);
+      return it->second.entry;
     }
   }
   if (!dir_.empty()) {
@@ -254,7 +244,7 @@ Expected<CompileCacheEntry> CompileCache::lookup(std::uint64_t key) {
       std::lock_guard<std::mutex> lock(mu_);
       // Another thread may have raced the same disk entry in; either copy
       // is equivalent, so last insert wins.
-      insert_locked(key, clone_entry(*loaded));
+      insert_locked(key, *loaded);
       ++hits_;
       count("hit");
       update_entries_gauge();
@@ -275,15 +265,16 @@ Expected<CompileCacheEntry> CompileCache::lookup(std::uint64_t key) {
   return Error::not_found("compile cache: no entry " + hex16(key));
 }
 
-void CompileCache::insert_locked(std::uint64_t key, CompileCacheEntry master) {
+void CompileCache::insert_locked(std::uint64_t key,
+                                 const CompileCacheEntry &entry) {
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    it->second.entry = std::move(master);
+    it->second.entry = entry;
     return;
   }
   lru_.push_front(key);
-  entries_.emplace(key, Master{std::move(master), lru_.begin()});
+  entries_.emplace(key, Slot{entry, lru_.begin()});
   while (capacity_ > 0 && entries_.size() > capacity_) {
     entries_.erase(lru_.back());
     lru_.pop_back();
@@ -293,37 +284,22 @@ void CompileCache::insert_locked(std::uint64_t key, CompileCacheEntry master) {
 }
 
 void CompileCache::store(std::uint64_t key, const CompileCacheEntry &entry) {
-  CompileCacheEntry master = clone_entry(entry);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    insert_locked(key, std::move(master));
+    insert_locked(key, entry);
     count("store");
     update_entries_gauge();
   }
   if (!dir_.empty()) persist(key, entry);
 }
 
-std::optional<std::uint64_t> CompileCache::direct_lookup(
-    const std::string &fingerprint) {
-  auto hit = direct_lookup_full(fingerprint);
-  if (!hit) return std::nullopt;
-  return hit->key;
-}
-
-std::optional<CompileCache::DirectHit> CompileCache::direct_lookup_full(
+std::optional<CompileCache::DirectHit> CompileCache::direct_lookup(
     const std::string &fingerprint) {
   std::uint64_t fp = support::fnv1a(fingerprint);
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = direct_.find(fp);
-    if (it != direct_.end()) {
-      DirectHit hit;
-      hit.key = it->second.key;
-      if (it->second.frontend)
-        hit.frontend =
-            std::make_shared<ir::Module>(ir::clone_module(*it->second.frontend));
-      return hit;
-    }
+    if (it != direct_.end()) return it->second;
   }
   if (dir_.empty()) return std::nullopt;
   std::ifstream file(dir_ + "/direct-" + hex16(fp) + ".json");
@@ -332,21 +308,16 @@ std::optional<CompileCache::DirectHit> CompileCache::direct_lookup_full(
   text << file.rdbuf();
   auto json = Json::parse(text.str());
   if (!json || !(*json)["key"].is_string()) return std::nullopt;
-  DirectEntry entry;
-  entry.key = std::strtoull((*json)["key"].as_string().c_str(), nullptr, 16);
+  DirectHit hit;
+  hit.key = std::strtoull((*json)["key"].as_string().c_str(), nullptr, 16);
   if ((*json)["frontend_ir"].is_string()) {
     // Optional field; older entries (or hand-edited files) simply fall back
     // to re-parsing the source on a hit.
     if (auto parsed = ir::parse_module((*json)["frontend_ir"].as_string()))
-      entry.frontend = *parsed;
+      hit.frontend = *parsed;
   }
-  DirectHit hit;
-  hit.key = entry.key;
-  if (entry.frontend)
-    hit.frontend =
-        std::make_shared<ir::Module>(ir::clone_module(*entry.frontend));
   std::lock_guard<std::mutex> lock(mu_);
-  direct_.emplace(fp, std::move(entry));
+  direct_.emplace(fp, hit);
   return hit;
 }
 
@@ -354,16 +325,11 @@ void CompileCache::direct_store(const std::string &fingerprint,
                                 std::uint64_t key,
                                 std::shared_ptr<const ir::Module> frontend) {
   std::uint64_t fp = support::fnv1a(fingerprint);
-  // Master copy: callers keep (and may mutate) their module, so the tier
-  // snapshots it. Refreshing with a null frontend keeps the existing master.
-  std::shared_ptr<const ir::Module> master;
-  if (frontend)
-    master = std::make_shared<const ir::Module>(ir::clone_module(*frontend));
   {
     std::lock_guard<std::mutex> lock(mu_);
-    DirectEntry &entry = direct_[fp];
+    DirectHit &entry = direct_[fp];
     entry.key = key;
-    if (master) entry.frontend = master;
+    if (frontend) entry.frontend = frontend;
   }
   if (dir_.empty()) return;
   std::error_code ec;

@@ -11,9 +11,10 @@
 // canonical text.
 //
 // Cached IR is kept both as printed text (the on-disk form under
-// `--cache-dir`) and as parsed master modules; lookups hand out private
-// deep clones (ir::clone_module), which print byte-identically to the
-// originals — a fresh compile and a cache hit yield the same CompileResult.
+// `--cache-dir`) and as parsed modules. Compile artifacts are immutable once
+// published, so the cache stores and hands out the very same
+// std::shared_ptr<const ir::Module>s the compile produced: a hit costs a hash
+// plus reference-count copies, and prints byte-identically to a fresh compile.
 //
 // The cache is thread-safe; hit/miss/eviction/corruption counts are mirrored
 // onto an attached obs::TraceRecorder ("sdk.cache.*").
@@ -37,12 +38,12 @@
 
 namespace everest::sdk {
 
-/// One cached backend result. Modules handed to store() are cloned in, and
-/// lookup() returns fresh clones, so entries are immune to caller mutation.
+/// One cached backend result. The modules are immutable and shared: store()
+/// keeps the caller's pointers and lookup() returns them, never a copy.
 struct CompileCacheEntry {
-  std::shared_ptr<ir::Module> teil_ir;    // canonical TeIL, base2-annotated
-  std::shared_ptr<ir::Module> loop_ir;
-  std::shared_ptr<ir::Module> system_ir;  // olympus + evp deployment ops
+  std::shared_ptr<const ir::Module> teil_ir;  // canonical TeIL, base2-annotated
+  std::shared_ptr<const ir::Module> loop_ir;
+  std::shared_ptr<const ir::Module> system_ir;  // olympus + evp deployment ops
   hls::KernelReport kernel;
   olympus::SystemEstimate estimate;
   int datapath_bits = 64;
@@ -109,7 +110,7 @@ public:
                                          const CompileOptions &options,
                                          const std::string &target);
 
-  /// Returns a private copy of the entry, NotFound on a miss, or a coded
+  /// Returns the entry (sharing its modules), NotFound on a miss, or a coded
   /// error (InvalidArgument) when a persisted entry exists but is corrupt —
   /// callers treat both failure kinds as "compile fresh".
   [[nodiscard]] support::Expected<CompileCacheEntry> lookup(std::uint64_t key);
@@ -123,14 +124,13 @@ public:
   /// source skips the frontend parse along with the backend. The frontend
   /// lives beside the fingerprint — not in the content entry — because EKL
   /// and CFDlang sources lowering to the same TeIL share one content entry
-  /// but have different frontends.
+  /// but have different frontends. The frontend module is shared like the
+  /// content entry's; a refresh with a null frontend keeps the known one.
   struct DirectHit {
     std::uint64_t key = 0;
-    std::shared_ptr<ir::Module> frontend;  // private clone; null if unknown
+    std::shared_ptr<const ir::Module> frontend;  // shared; null if unknown
   };
-  [[nodiscard]] std::optional<std::uint64_t> direct_lookup(
-      const std::string &fingerprint);
-  [[nodiscard]] std::optional<DirectHit> direct_lookup_full(
+  [[nodiscard]] std::optional<DirectHit> direct_lookup(
       const std::string &fingerprint);
   void direct_store(const std::string &fingerprint, std::uint64_t key,
                     std::shared_ptr<const ir::Module> frontend = nullptr);
@@ -154,8 +154,8 @@ public:
   [[nodiscard]] const std::string &directory() const { return dir_; }
 
 private:
-  struct Master {
-    CompileCacheEntry entry;                    // owns the master modules
+  struct Slot {
+    CompileCacheEntry entry;
     std::list<std::uint64_t>::iterator lru_it;  // position in lru_
   };
 
@@ -165,21 +165,16 @@ private:
   [[nodiscard]] support::Expected<CompileCacheEntry> load_from_disk(
       std::uint64_t key) const;
   void persist(std::uint64_t key, const CompileCacheEntry &entry) const;
-  void insert_locked(std::uint64_t key, CompileCacheEntry master);
+  void insert_locked(std::uint64_t key, const CompileCacheEntry &entry);
   void count(const char *event);
   void update_entries_gauge();
 
   mutable std::mutex mu_;
   std::string dir_;
   PassResultCache pass_tier_;
-  struct DirectEntry {
-    std::uint64_t key = 0;
-    std::shared_ptr<const ir::Module> frontend;  // master; null if unknown
-  };
-
-  std::map<std::uint64_t, Master> entries_;
+  std::map<std::uint64_t, Slot> entries_;
   std::list<std::uint64_t> lru_;  // front = most recently used
-  std::map<std::uint64_t, DirectEntry> direct_;  // fp hash -> content key
+  std::map<std::uint64_t, DirectHit> direct_;  // fp hash -> content key
   std::size_t capacity_ = 0;
   obs::TraceRecorder *recorder_ = nullptr;
   std::int64_t hits_ = 0;

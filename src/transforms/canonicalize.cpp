@@ -160,7 +160,7 @@ std::vector<std::shared_ptr<ir::RewritePattern>> canonicalize_patterns(
         }
         Value *c = rw.create_value_before(&op, "teil.constant", {},
                                           op.result(0)->type(),
-                                          {{"value", Attribute(folded)}});
+                                          {{"value", folded}});
         rw.replace_op(&op, {c});
         return true;
       }));

@@ -1,11 +1,12 @@
 // Concurrency tests (run under the tsan preset, CTest label "concurrency"):
 // the support::ThreadPool itself, the determinism of parallel Basecamp
 // compilation — compile_many(jobs=N) must be byte-identical to the serial
-// path for any N — and multi-threaded stresses of the compile cache and of
-// the per-pass result tier.
+// path for any N — and multi-threaded stresses of the compile cache (whose
+// hits are shared, immutable modules) and of the per-pass result tier.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -15,6 +16,7 @@
 #include "sdk/basecamp.hpp"
 #include "sdk/compile_cache.hpp"
 #include "support/thread_pool.hpp"
+#include "transforms/loop_eval.hpp"
 #include "usecases/rrtmg.hpp"
 
 namespace es = everest::sdk;
@@ -248,15 +250,16 @@ TEST(CompileCacheStressTest, EightThreadsHammeringOneCache) {
         cache.store(key, entry);
         auto hit = cache.lookup(probe);  // keys 32..47 are never stored
         if (hit) {
-          // Handed-out clones must match the master byte-for-byte and be
-          // private: mutating-by-aliasing another thread's copy is impossible
-          // because every lookup returns a fresh deep clone.
+          // A hit hands out the stored immutable modules themselves, which
+          // every thread may print at once.
+          if (hit->teil_ir != seed->teil_ir || hit->loop_ir != seed->loop_ir ||
+              hit->system_ir != seed->system_ir)
+            failures.fetch_add(1);
           if (hit->teil_ir->str() != teil_text) failures.fetch_add(1);
-          if (hit->teil_ir == seed->teil_ir) failures.fetch_add(1);
         }
         cache.direct_store("fp-" + std::to_string(key), key);
         auto mapped = cache.direct_lookup("fp-" + std::to_string(probe));
-        if (mapped && *mapped >= 48) failures.fetch_add(1);
+        if (mapped && mapped->key >= 48) failures.fetch_add(1);
       }
     });
   }
@@ -267,6 +270,52 @@ TEST(CompileCacheStressTest, EightThreadsHammeringOneCache) {
   EXPECT_GT(cache.evictions(), 0);
   // Every lookup was either a hit or a miss, never lost.
   EXPECT_EQ(cache.hits() + cache.misses(), 8 * 200);
+}
+
+TEST(CompileCacheStressTest, EightThreadsReadOneSharedHit) {
+  // A cache hit is shared, not copied, so every reader walks the same
+  // modules at once: printing and evaluating them must not write to them.
+  es::CompileCache cache;
+  es::Basecamp basecamp;
+  basecamp.attach_cache(&cache);
+  rr::Config cfg;
+  cfg.ncells = 8;
+  const auto bindings = rr::bindings(rr::make_data(cfg));
+  auto cold = basecamp.compile_ekl(rr::ekl_source(), bindings);
+  auto hit = basecamp.compile_ekl(rr::ekl_source(), bindings);
+  ASSERT_TRUE(cold.has_value()) << cold.error().message;
+  ASSERT_TRUE(hit.has_value()) << hit.error().message;
+  ASSERT_EQ(cache.hits(), 1);
+  ASSERT_EQ(hit->loop_ir, cold->loop_ir);
+
+  const std::string loop_text = hit->loop_ir->str();
+  const std::string teil_text = hit->teil_ir->str();
+  auto reference =
+      everest::transforms::evaluate_loops(*hit->loop_ir, bindings.inputs);
+  ASSERT_TRUE(reference.has_value()) << reference.error().message;
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 4; ++i) {
+        if (hit->loop_ir->str() != loop_text ||
+            hit->teil_ir->str() != teil_text)
+          failures.fetch_add(1);
+        auto out =
+            everest::transforms::evaluate_loops(*hit->loop_ir, bindings.inputs);
+        if (!out || out->size() != reference->size()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        for (const auto &[name, tensor] : *reference)
+          if (!std::ranges::equal(out->at(name).data(), tensor.data()))
+            failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto &th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
 }
 
 TEST(PassResultCacheStressTest, FourThreadsCloneHitsAcrossWholesaleResets) {

@@ -47,7 +47,7 @@ std::unique_ptr<ei::Module> random_arith_module(std::uint64_t seed) {
   for (std::size_t i = 0; i < nsrc; ++i) {
     pool.push_back(b.create_value(
         "test.source", {}, kF64,
-        {{"id", ei::Attribute(static_cast<std::int64_t>(i))}}));
+        {{"id", static_cast<std::int64_t>(i)}}));
   }
   const std::size_t nconst = 3 + rng.next() % 4;
   for (std::size_t i = 0; i < nconst; ++i) {
@@ -208,7 +208,7 @@ TEST(RewriteWorklist, CreatedOpsAreReenqueued) {
   patterns.push_back(std::make_shared<ei::LambdaPattern>(
       "test.made", [](ei::Operation &op, ei::PatternRewriter &rw) {
         ei::Value *c = rw.create_value_before(
-            &op, "arith.constant", {}, kF64, {{"value", ei::Attribute(7.0)}});
+            &op, "arith.constant", {}, kF64, {{"value", 7.0}});
         rw.replace_op(&op, {c});
         return true;
       }));

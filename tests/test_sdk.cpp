@@ -259,6 +259,43 @@ TEST_F(CompileCacheTest, HitOnIdenticalRecompile) {
   EXPECT_DOUBLE_EQ(cold.estimate.total_us, warm.estimate.total_us);
 }
 
+TEST_F(CompileCacheTest, HitsShareTheStoredModules) {
+  es::CompileCache cache;
+  es::Basecamp basecamp;
+  basecamp.attach_cache(&cache);
+  auto cold = compile(basecamp);
+  auto first = compile(basecamp);
+  auto second = compile(basecamp);
+  ASSERT_EQ(cache.hits(), 2);
+
+  // Two hits on one key hand out the same modules, not copies of them...
+  EXPECT_EQ(first.frontend_ir, second.frontend_ir);
+  EXPECT_EQ(first.teil_ir, second.teil_ir);
+  EXPECT_EQ(first.loop_ir, second.loop_ir);
+  EXPECT_EQ(first.system_ir, second.system_ir);
+  // ...namely the ones the cold compile stored.
+  EXPECT_EQ(first.loop_ir, cold.loop_ir);
+  EXPECT_EQ(first.frontend_ir, cold.frontend_ir);
+  // The cache API itself: the content key is the canonical TeIL text, which
+  // an f64 compile exports unannotated.
+  const es::CompileOptions options;
+  auto key = es::CompileCache::key(cold.teil_ir->str(), options,
+                                   options.target);
+  auto a = cache.lookup(key);
+  auto b = cache.lookup(key);
+  ASSERT_TRUE(a.has_value() && b.has_value());
+  EXPECT_EQ(a->loop_ir, cold.loop_ir);
+  EXPECT_EQ(b->loop_ir, cold.loop_ir);
+
+  // A hit prints byte-identically to a compile without any cache.
+  es::Basecamp uncached;
+  auto fresh = compile(uncached);
+  EXPECT_EQ(fresh.frontend_ir->str(), second.frontend_ir->str());
+  EXPECT_EQ(fresh.teil_ir->str(), second.teil_ir->str());
+  EXPECT_EQ(fresh.loop_ir->str(), second.loop_ir->str());
+  EXPECT_EQ(fresh.system_ir->str(), second.system_ir->str());
+}
+
 TEST_F(CompileCacheTest, AnyPerturbationMisses) {
   es::CompileCache cache;
   es::Basecamp basecamp;
